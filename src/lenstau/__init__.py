@@ -10,7 +10,7 @@ from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from .lens_invariants import (LensSpace, TauPrimeResult, make_lens_space,
                               tau_prime, tau_prime_via_galois, three_s_sqrt,
                               xi_r)
-from .number_theory import (Rational, Residue, bezout_pair, dedekind_sum,
+from .number_theory import (Rational, bezout_pair, dedekind_sum,
                             dedekind_sum_direct, epsilon, ext_gcd,
                             jacobi_symbol, mod_inverse, rational_mod)
 from .ohtsuki import FormalSeries, binomial_series, ohtsuki_tau
@@ -21,7 +21,7 @@ from .rt_oracle import (SurgeryPresentation, continued_fraction,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cyclotomic", "FormalSeries", "LensSpace", "Rational", "Residue",
+    "Cyclotomic", "FormalSeries", "LensSpace", "Rational",
     "SurgeryPresentation", "TauPrimeResult", "bezout_pair",
     "binomial_series", "continued_fraction", "dedekind_sum",
     "dedekind_sum_direct", "epsilon", "ext_gcd", "gauss_sum",

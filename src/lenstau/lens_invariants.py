@@ -9,6 +9,20 @@ The invariant branches on c = gcd(p, r):
   of zeta_r (the reduction must be exact; IntegralityFailure otherwise).
 * c > 1 otherwise: zero.
 
+Neither nonzero branch needs division in Q(zeta_r).  With z = zeta_r,
+y = z^x of order r and k >= 0, the Case 1 ratio of quantum integers is
+the geometric sum
+
+    (y^k - y^-k) / (y - y^-1) = sum_{0 <= j < k} z^(x(k - 1 - 2j)),
+
+and since sum_{0 <= j < r} j*w^j = r/(w - 1) for w = z^(2h) != 1, the
+Case 2 denominator inverts as
+
+    1 / (z^-h - z^h) = -(1/r) * sum_{0 < j < r} j * z^(h(2j + 1)).
+
+Each nonzero value is therefore one integer combination of powers of z,
+built as a single Cyclotomic of order r.
+
 ``xi_r`` is the same invariant family evaluated at the untwisted root
 e_r; composing it with the Galois substitution z -> z^((1 -+ r)/4) must
 reproduce ``tau_prime`` exactly, which is the main internal consistency
@@ -25,12 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from .errors import (EvenOrder, IntegralityFailure, NonPositiveP, NotCoprime,
                      OrderOne)
-from .number_theory import (Residue, bezout_pair, dedekind_sum, jacobi_symbol,
-                            mod_inverse, rational_mod)
+from .number_theory import bezout_pair, dedekind_sum, jacobi_symbol, mod_inverse
 
 CASE_ONE = "CaseOne"
 CASE_TWO = "CaseTwo"
@@ -74,7 +88,7 @@ def make_lens_space(p: int, q: int) -> LensSpace:
     q %= p
     if p == 1:
         return LensSpace(1, 0, 0, 1)
-    q_star = mod_inverse(q, p).value
+    q_star = mod_inverse(q, p)
     p_star = (1 - q_star * q) // p
     return LensSpace(p, q, q_star, p_star)
 
@@ -95,28 +109,22 @@ def _twelve_s_times_p(L: LensSpace) -> int:
     return m.numerator
 
 
-def three_s_sqrt(L: LensSpace, r: int) -> Residue:
-    """The residue of the rational 3*s(q,p) modulo r.
+def three_s_sqrt(L: LensSpace, r: int) -> int:
+    """The residue of the rational 3*s(q,p) modulo r, in [0, r).
 
-    3*s(q,p) = m/(4p) with m integral, so the residue is m*(4p)' mod r.
+    3*s(q,p) = m/(4p) with m = 12*s(q,p)*p integral, so the residue is
+    m*(4p)' mod r; NotCoprime unless gcd(4p, r) = 1.
     """
-    if math.gcd(4 * L.p, r) != 1:
-        raise NotCoprime(f"gcd(4*{L.p}, {r}) != 1")
-    three_s = 3 * dedekind_sum(L.q, L.p)
-    m = three_s * 4 * L.p
-    if m.denominator != 1:
-        raise IntegralityFailure(
-            f"3*s({L.q},{L.p}) does not have denominator dividing 4p")
-    res = Residue(m.numerator * mod_inverse(4 * L.p, r).value, r)
-    assert res == rational_mod(three_s, r)
-    return res
+    return _twelve_s_times_p(L) * mod_inverse(4 * L.p, r) % r
 
 
 def _branch_eta(L: LensSpace, c: int) -> int | None:
     """eta in {+1, -1} with c | q* + eta, or None (the zero branch)."""
     plus = (L.q_star + 1) % c == 0
     minus = (L.q_star - 1) % c == 0
-    assert not (plus and minus), "odd c > 1 cannot divide both q*+-1"
+    if plus and minus:
+        raise IntegralityFailure(
+            f"c = {c} divides both q* + 1 and q* - 1; c must be odd and > 1")
     if plus:
         return 1
     if minus:
@@ -158,21 +166,11 @@ def case_two_bracket(L: LensSpace, r: int, eta: int,
                      bezout_shift: int = 0) -> Cyclotomic:
     """The Case 2 bracket as an explicit element of Q(zeta_{p*r}).
 
-    Built as a genuine product of roots of unity so its reduction to
-    Q(zeta_r) can be exercised through the cyclotomic machinery.
+    Built as a root of unity of order p*r so its reduction to Q(zeta_r)
+    can be exercised through the cyclotomic machinery.
     """
-    p, q, q_star, p_star = L.p, L.q, L.q_star, L.p_star
-    c = math.gcd(p, r)
-    s12, srest = bracket_signs
-    u, v = p // c, r // c
-    u1, v1 = bezout_pair(u, v)
-    u1 += bezout_shift * v
-    v1 -= bezout_shift * u
-    n = p * r
-    b = root_of_unity(n, s12 * _twelve_s_times_p(L))
-    b = b * root_of_unity(n, srest * v * (-v1 * (q + q_star - eta * p_star * p)))
-    b = b * root_of_unity(n, srest * u * (2 * eta * u1))
-    return b
+    return root_of_unity(L.p * r, _bracket_exponent(
+        L, r, eta, bracket_signs, bezout_shift))
 
 
 def _bracket_power_of_zeta_r(L: LensSpace, r: int, eta: int,
@@ -187,9 +185,30 @@ def _bracket_power_of_zeta_r(L: LensSpace, r: int, eta: int,
     return (e // L.p) % r
 
 
-def _quantum_denominator(r: int, exponent: int) -> Cyclotomic:
-    """zeta_r^-exponent - zeta_r^exponent (nonzero for odd r > 1)."""
-    return root_of_unity(r, -exponent) - root_of_unity(r, exponent)
+def _quantum_ratio(r: int, scale: int, phase: int, x: int,
+                   k: int) -> Cyclotomic:
+    """scale * z^phase * (y^k - y^-k)/(y - y^-1) for y = z^x, k >= 0."""
+    coeffs = [0] * r
+    for j in range(k):
+        coeffs[(phase + x * (k - 1 - 2 * j)) % r] += scale
+    return Cyclotomic(r, coeffs)
+
+
+def _gauss_quotient(r: int, c: int, scale: int, phase: int,
+                    h: int) -> Cyclotomic:
+    """scale * z^phase * gauss_sum(c) / (z^-h - z^h) in Q(zeta_r), c | r.
+
+    gauss_sum(c) has integer coefficients g_i on z_c^i = z^(i*r/c).
+    """
+    step = r // c
+    sums = [0] * r
+    for i, g in enumerate(gauss_sum(c).coeffs):
+        if g:
+            g = g.numerator
+            base = phase + i * step + h
+            for j in range(1, r):
+                sums[(base + 2 * h * j) % r] += g * j
+    return Cyclotomic(r, [Fraction(-scale * v, r) for v in sums])
 
 
 def tau_prime(L: LensSpace, r: int,
@@ -206,13 +225,10 @@ def tau_prime(L: LensSpace, r: int,
     if p == 1:
         return TauPrimeResult(root_of_unity(r, 0), r, 1, CASE_ONE)
     if c == 1:
-        tss = three_s_sqrt(L, r).value
-        inv2 = mod_inverse(2, r).value
-        inv2p = mod_inverse(2 * p, r).value
-        ratio = (_quantum_denominator(r, -inv2p)
-                 / _quantum_denominator(r, -inv2))
-        value = jacobi_symbol(p, r) * root_of_unity(r, -tss) * ratio
-        return TauPrimeResult(value, r, 1, CASE_ONE)
+        return TauPrimeResult(
+            _quantum_ratio(r, jacobi_symbol(p, r), -three_s_sqrt(L, r),
+                           mod_inverse(2, r), mod_inverse(p, r)),
+            r, 1, CASE_ONE)
     eta = _branch_eta(L, c)
     if eta is None:
         return TauPrimeResult(Cyclotomic.zero(r), r, c, ZERO)
@@ -220,11 +236,7 @@ def tau_prime(L: LensSpace, r: int,
     k = _bracket_power_of_zeta_r(L, r, eta, bracket_signs, bezout_shift)
     sign = (-1) ** (((r - 1) // 2) * ((c - 1) // 2))
     jac = (jacobi_symbol(p // c, r // c) * jacobi_symbol(q * w, c))
-    inv2 = mod_inverse(2, r).value
-    value = (sign * jac * eta
-             * root_of_unity(r, k * w)
-             * gauss_sum(c).lift(r)
-             / _quantum_denominator(r, inv2))
+    value = _gauss_quotient(r, c, sign * jac * eta, k * w, mod_inverse(2, r))
     return TauPrimeResult(value, r, c, CASE_TWO, eta)
 
 
@@ -243,27 +255,21 @@ def xi_r(L: LensSpace, r: int,
     if p == 1:
         return root_of_unity(r, 0)
     if c == 1:
-        # scalar e_r^(-12s) * e_p^(r'(q+q*)) = zeta_{pr}^E1 = zeta_r^a
-        r_inv = mod_inverse(r, p).value
+        # scalar e_r^(-12s) * e_p^(r'(q+q*)) = zeta_{pr}^E1 = zeta_r^(E1/p)
+        r_inv = mod_inverse(r, p)
         e1 = -_twelve_s_times_p(L) + r * r_inv * (q + q_star)
         if e1 % p != 0:
             raise IntegralityFailure(
                 f"Case 1 scalar is not a power of zeta_{r}")
-        a = (e1 // p) % r
-        p_inv = mod_inverse(p, r).value
-        ratio = (_quantum_denominator(r, -2 * p_inv)
-                 / _quantum_denominator(r, -2))
-        return jacobi_symbol(p, r) * root_of_unity(r, a) * ratio
+        return _quantum_ratio(r, jacobi_symbol(p, r), e1 // p, 2,
+                              mod_inverse(p, r))
     eta = _branch_eta(L, c)
     if eta is None:
         return Cyclotomic.zero(r)
     k = _bracket_power_of_zeta_r(L, r, eta, bracket_signs, bezout_shift)
     sign = (-1) ** (((r - 1) // 2) * ((c - 1) // 2))
     jac = jacobi_symbol(p // c, r // c) * jacobi_symbol(q, c)
-    return (sign * jac * eta
-            * root_of_unity(r, k)
-            * gauss_sum(c).lift(r)
-            / _quantum_denominator(r, 2))
+    return _gauss_quotient(r, c, sign * jac * eta, k, 2)
 
 
 def tau_prime_via_galois(L: LensSpace, r: int,

@@ -6,7 +6,8 @@ Conventions used throughout the package:
   positive denominator, exact arithmetic).
 * ``b'`` denotes the inverse of ``b`` modulo ``r``; the residue of a
   rational ``a/b`` modulo ``r`` is ``a * b' mod r``, which is independent
-  of the chosen representation of ``a/b``.
+  of the chosen representation of ``a/b``.  Residues are plain ints in
+  ``[0, r)``.
 * ``s(q, p)`` is the classical Dedekind sum with the sawtooth
   ``((x)) = x - floor(x) - 1/2`` for non-integral x and 0 otherwise.
 """
@@ -14,58 +15,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvenInput, EvenModulus, NotCoprime
 
 Rational = Fraction
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/nZ, stored reduced to [0, n)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus <= 0:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mixed moduli: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Residue):
-            return (self.value, self.modulus) == (other.value, other.modulus)
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus))
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -85,14 +39,14 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def mod_inverse(a: int, n: int) -> Residue:
-    """Inverse of a modulo n, as a Residue; requires gcd(a, n) = 1."""
+def mod_inverse(a: int, n: int) -> int:
+    """Inverse of a modulo n, in [0, n); requires gcd(a, n) = 1."""
     if n <= 0:
         raise ValueError(f"modulus must be positive, got {n}")
-    g, x, _ = ext_gcd(a, n)
+    g = math.gcd(a, n)
     if g != 1:
         raise NotCoprime(f"{a} is not invertible mod {n} (gcd = {g})")
-    return Residue(x, n)
+    return pow(a, -1, n)
 
 
 def jacobi_symbol(a: int, n: int) -> int:
@@ -116,18 +70,14 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def rational_mod(x: Rational | int, r: int) -> Residue:
-    """The residue a*b' mod r of x = a/b, for gcd(b, r) = 1.
+def rational_mod(x: Rational | int, r: int) -> int:
+    """The residue a*b' mod r of x = a/b in [0, r), for gcd(b, r) = 1.
 
     Well-defined on the value of x: equal fractions with denominators
     coprime to r give equal residues, so the reduced form is used.
     """
     x = Fraction(x)
-    if math.gcd(x.denominator, r) != 1:
-        raise NotCoprime(
-            f"denominator {x.denominator} shares a factor with {r}")
-    inv = mod_inverse(x.denominator, r)
-    return Residue(x.numerator * inv.value, r)
+    return x.numerator * mod_inverse(x.denominator, r) % r
 
 
 def epsilon(c: int):
@@ -151,7 +101,7 @@ def bezout_pair(u: int, v: int) -> tuple[int, int]:
         return u, 0  # u = +-1
     if abs(v) == 1:
         return 0, v
-    u_prime = mod_inverse(u, abs(v)).value
+    u_prime = mod_inverse(u, abs(v))
     v_prime = (1 - u_prime * u) // v
     return u_prime, v_prime
 

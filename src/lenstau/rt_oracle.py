@@ -74,9 +74,9 @@ def continued_fraction(p: int, q: int) -> SurgeryPresentation:
         a = -(-p // q)  # ceil(p/q)
         terms.append(a)
         p, q = q, a * q - p
-    pres = SurgeryPresentation(tuple(terms))
-    assert all(a >= 2 for a in pres.framings)
-    return pres
+    if any(a < 2 for a in terms):
+        raise ValueError(f"continued fraction has a term below 2: {terms}")
+    return SurgeryPresentation(tuple(terms))
 
 
 def linking_matrix(framings: tuple[int, ...]) -> np.ndarray:

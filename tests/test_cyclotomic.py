@@ -61,6 +61,19 @@ class TestRootOfUnity:
             root_of_unity(cyc.MAX_ORDER + 1, 1)
 
 
+class TestSparseReduction:
+    # Phi_N is sparse at these orders; long vectors must still reduce fully.
+    @pytest.mark.parametrize("n", (105, 891, 1225))
+    def test_z_to_the_n_is_one(self, n):
+        assert Cyclotomic(n, [0] * n + [1]) == 1
+
+    @pytest.mark.parametrize("n", (105, 891, 1225))
+    def test_multiples_of_phi_vanish(self, n):
+        phi = list(cyclotomic_polynomial(n))
+        for k in (0, 1, n // 2, n - 1):
+            assert Cyclotomic(n, [0] * k + phi).is_zero(), k
+
+
 class TestFieldOps:
     def test_vanishing_sum(self):
         z = root_of_unity(3, 1)

@@ -1,14 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from lenstau.cyclotomic import root_of_unity
+import lenstau
+from lenstau.cyclotomic import gauss_sum, root_of_unity
 from lenstau.errors import (EvenOrder, IntegralityFailure, NonPositiveP,
                             NotCoprime, OrderOne)
 from lenstau.lens_invariants import (BRACKET_CALIBRATED, CASE_ONE, CASE_TWO,
-                                     ZERO, case_two_bracket, make_lens_space,
+                                     ZERO, _gauss_quotient, _quantum_ratio,
+                                     case_two_bracket, make_lens_space,
                                      tau_prime, tau_prime_via_galois,
                                      three_s_sqrt, xi_r)
+from lenstau.number_theory import mod_inverse
+
+# Every odd r <= 45 in full, plus two large orders checked more sparsely
+# because each reference division there takes about a second.
+CLOSED_FORM_ORDERS = (*range(3, 46, 2), 101, 891)
 
 
 def lens_spaces(max_p):
@@ -51,9 +63,9 @@ class TestMakeLensSpace:
 
 class TestThreeSSqrt:
     def test_examples(self):
-        assert three_s_sqrt(make_lens_space(1, 0), 5).value == 0
-        assert three_s_sqrt(make_lens_space(2, 1), 3).value == 0
-        assert three_s_sqrt(make_lens_space(3, 1), 5).value == 1
+        assert three_s_sqrt(make_lens_space(1, 0), 5) == 0
+        assert three_s_sqrt(make_lens_space(2, 1), 3) == 0
+        assert three_s_sqrt(make_lens_space(3, 1), 5) == 1
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
@@ -204,3 +216,60 @@ class TestBracket:
 
     def test_default_reading_constant(self):
         assert BRACKET_CALIBRATED == (-1, -1)
+
+
+class TestClosedForms:
+    """The division-free Case 1 and Case 2 forms against field division."""
+
+    @pytest.mark.parametrize("r", CLOSED_FORM_ORDERS)
+    def test_geometric_sum_is_quantum_ratio(self, r):
+        inv2 = mod_inverse(2, r)
+        if r > 45:
+            cases = [(inv2, inv2)]
+        else:
+            cases = [(x, k) for x in (inv2, 2)
+                     for k in {0, 1, 2, r // 2, r - 2, r - 1}]
+        for x, k in cases:
+            num = 3 * root_of_unity(r, r - 1) * (
+                root_of_unity(r, x * k) - root_of_unity(r, -x * k))
+            den = root_of_unity(r, x) - root_of_unity(r, -x)
+            assert _quantum_ratio(r, 3, r - 1, x, k) == num / den, (x, k)
+
+    @pytest.mark.parametrize("r", CLOSED_FORM_ORDERS)
+    def test_weighted_power_sum_is_gauss_quotient(self, r):
+        inv2 = mod_inverse(2, r)
+        if r > 45:
+            cases = [(1, inv2), (r, inv2)]
+        else:
+            cases = [(c, h) for c in range(1, r + 1, 2) if r % c == 0
+                     for h in (inv2, 2)]
+        for c, h in cases:
+            num = -2 * root_of_unity(r, 5) * gauss_sum(c).lift(r)
+            den = root_of_unity(r, -h) - root_of_unity(r, h)
+            assert _gauss_quotient(r, c, -2, 5, h) == num / den, (c, h)
+
+
+def test_invariant_guards_raise_under_optimize():
+    """The typed checks that replaced asserts still run under python -O."""
+    code = textwrap.dedent("""
+        from lenstau.cyclotomic import _int_poly_div_exact
+        from lenstau.errors import IntegralityFailure
+        from lenstau.lens_invariants import LensSpace, _branch_eta
+
+        assert False, "assertions must be disabled"
+        for call, error in (
+                (lambda: _branch_eta(LensSpace(4, 1, 1, 0), 2),
+                 IntegralityFailure),
+                (lambda: _int_poly_div_exact([1, 0, 1], [-1, 1]),
+                 ArithmeticError)):
+            try:
+                call()
+            except error:
+                continue
+            raise SystemExit(f"no {error.__name__} raised")
+    """)
+    src = str(Path(lenstau.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
