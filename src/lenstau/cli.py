@@ -298,7 +298,8 @@ def build_parser() -> _Parser:
                    help="comma-separated odd orders, e.g. 3,5,7,9")
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, at most the CPU count "
+                        "(default: available parallelism)")
     p.add_argument("--per-case", action="store_true")
     p.add_argument("--sign-study", action="store_true",
                    help="also compare all bracket sign readings")
@@ -323,20 +324,13 @@ def main(argv=None) -> int:
 
 
 def _validate(args) -> None:
-    if getattr(args, "r", None) is not None and isinstance(args.r, int):
-        if args.command in ("tau-prime", "xi") and (args.r % 2 == 0 or args.r <= 1):
-            raise ValueError(f"r must be odd and > 1, got {args.r}")
-        if args.command == "oracle":
-            if args.r < 3:
-                raise ValueError(f"r must be >= 3, got {args.r}")
-            if args.kind == "so3" and args.r % 2 == 0:
-                raise ValueError(f"so3 oracle needs odd r, got {args.r}")
-    if getattr(args, "terms", None) is not None and args.terms < 1:
-        raise ValueError(f"--terms must be >= 1, got {args.terms}")
+    """Checks no library function makes; the rest raise downstream."""
     if getattr(args, "max_p", None) is not None and args.max_p < 1:
         raise ValueError(f"--max-p must be >= 1, got {args.max_p}")
     if getattr(args, "tolerance", None) is not None and not args.tolerance > 0:
         raise ValueError("--tolerance must be positive")
+    if getattr(args, "jobs", None) is not None and args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
+from .cyclotomic import _check_order as _check_field_order
 from .errors import (EvenOrder, IntegralityFailure, NonPositiveP, NotCoprime,
                      OrderOne)
 from .number_theory import bezout_pair, dedekind_sum, jacobi_symbol, mod_inverse
@@ -94,10 +95,12 @@ def make_lens_space(p: int, q: int) -> LensSpace:
 
 
 def _check_order(r: int) -> None:
+    """Refuse r before any O(r) work, MAX_ORDER included."""
     if r % 2 == 0:
         raise EvenOrder(f"r must be odd, got {r}")
     if r <= 1:
         raise OrderOne(f"r must exceed 1, got {r}")
+    _check_field_order(r)
 
 
 def _twelve_s_times_p(L: LensSpace) -> int:

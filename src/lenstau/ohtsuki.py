@@ -2,10 +2,14 @@
 
 tau(L(p,q)) = t^(-3 s(q,p)) * (t^(1/2p) - t^(-1/2p)) / (t^(1/2) - t^(-1/2))
 
-expanded in h = t - 1 with rational coefficients lambda_n.  One code
-path covers even and odd p alike.  Both numerator and denominator
-vanish to order exactly one at h = 0, so the quotient is computed by
-cancelling the leading power of h and inverting the remaining unit.
+expanded in h = t - 1 with rational coefficients lambda_n.  Multiplying
+top and bottom by t^(1/2) turns the denominator into t - 1 = h, so
+
+    tau = ((1 + h)^alpha - (1 + h)^beta) / h,
+    alpha, beta = 1/2 - 3 s(q,p) +- 1/(2p),
+
+and lambda_n = C(alpha, n + 1) - C(beta, n + 1): one code path for even
+and odd p, with no series product or inverse.
 """
 
 from __future__ import annotations
@@ -120,15 +124,7 @@ def ohtsuki_tau(L: LensSpace, n_terms: int = 16) -> FormalSeries:
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    p = L.p
-    s = dedekind_sum(L.q, p)
-    # work one order deep so cancelling h keeps n_terms coefficients
-    depth = n_terms + 1
-    half = Fraction(1, 2)
-    half_p = Fraction(1, 2 * p)
-    numerator = binomial_series(half_p, depth) - binomial_series(-half_p, depth)
-    denominator = binomial_series(half, depth) - binomial_series(-half, depth)
-    ratio = numerator.divide(denominator)
-    prefactor = binomial_series(-3 * s, depth)
-    series = prefactor * ratio
-    return FormalSeries(series.coeffs[:n_terms])
+    a = Fraction(1, 2) - 3 * dedekind_sum(L.q, L.p)
+    d = Fraction(1, 2 * L.p)
+    return (binomial_series(a + d, n_terms + 1)
+            - binomial_series(a - d, n_terms + 1)).shift_down(1)

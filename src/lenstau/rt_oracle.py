@@ -25,6 +25,7 @@ match kind so an orientation flip cannot pass silently.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -245,9 +246,11 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
     """Run verify over every coprime (p, q), p <= max_p, for each r.
 
     Results are sorted by (p, q, r) regardless of worker scheduling.
+    At most os.cpu_count() workers start, whatever jobs asks for.
     """
     tasks = [(p, q, r, tolerance)
              for p, q in lens_space_range(max_p) for r in r_values]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -210,6 +210,18 @@ class TestBadFlags:
     def test_bad_max_p(self, capsys):
         assert run(capsys, "verify", "--max-p", "0", "--r", "3")[0] == 1
 
+    def test_negative_jobs(self, capsys):
+        code, _, err = run(capsys, "verify", "--max-p", "2", "--r", "3",
+                           "--jobs", "-1")
+        assert code == 1
+        assert "--jobs" in err
+
+    def test_order_one_reaches_user(self, capsys):
+        code, _, err = run(capsys, "tau-prime", "--p", "2", "--q", "1",
+                           "--r", "1")
+        assert code == 1
+        assert "exceed 1" in err
+
     def test_bad_tolerance(self, capsys):
         assert run(capsys, "verify", "--max-p", "2", "--r", "3",
                    "--tolerance", "-1")[0] == 1

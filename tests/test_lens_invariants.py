@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import lenstau
+from lenstau import cyclotomic
+from lenstau import lens_invariants
 from lenstau.cyclotomic import gauss_sum, root_of_unity
 from lenstau.errors import (EvenOrder, IntegralityFailure, NonPositiveP,
                             NotCoprime, OrderOne)
@@ -135,6 +137,38 @@ class TestTauPrime:
             result = tau_prime(L, 3)
             assert result.branch != ZERO
             assert result.value == 1, (L.p, L.q)
+
+
+class TestOrderBound:
+    """An order above MAX_ORDER is refused before any O(r) work."""
+
+    class OrderWork(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_order_work(self, monkeypatch):
+        def refuse(*args):
+            raise self.OrderWork
+        monkeypatch.setattr(lens_invariants, "_quantum_ratio", refuse)
+        monkeypatch.setattr(lens_invariants, "_gauss_quotient", refuse)
+
+    def check_refused(self, r):
+        # the sphere, Case One for p coprime to r, and Case Two for
+        # L(3,1) when 3 | r (r = 5001 = 3 * 1667)
+        for p, q in [(1, 0), (3, 1), (5, 1), (7, 2)]:
+            L = make_lens_space(p, q)
+            for fn in (lambda: tau_prime(L, r), lambda: xi_r(L, r),
+                       lambda: tau_prime_via_galois(L, r)):
+                with pytest.raises(ValueError, match="MAX_ORDER"):
+                    fn()
+
+    def test_first_odd_order_above_the_bound(self):
+        r = cyclotomic.MAX_ORDER + 1
+        self.check_refused(r if r % 2 else r + 1)
+
+    def test_bound_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "MAX_ORDER", 99)
+        self.check_refused(101)
 
 
 class TestGaloisRoute:

@@ -6,8 +6,21 @@ import pytest
 
 from lenstau.errors import NotInvertible
 from lenstau.lens_invariants import make_lens_space, tau_prime
-from lenstau.number_theory import jacobi_symbol
+from lenstau.number_theory import dedekind_sum, jacobi_symbol
 from lenstau.ohtsuki import FormalSeries, binomial_series, ohtsuki_tau
+
+
+def series_by_composition(L, n_terms):
+    """The paper's t^(-3s) * (t^(1/2p) - t^(-1/2p)) / (t^(1/2) - t^(-1/2))
+    through the general series machinery: one order deep, so that
+    cancelling h in the quotient keeps n_terms coefficients."""
+    depth = n_terms + 1
+    half = Fraction(1, 2)
+    half_p = Fraction(1, 2 * L.p)
+    num = binomial_series(half_p, depth) - binomial_series(-half_p, depth)
+    den = binomial_series(half, depth) - binomial_series(-half, depth)
+    prefactor = binomial_series(-3 * dedekind_sum(L.q, L.p), depth)
+    return FormalSeries((prefactor * num.divide(den)).coeffs[:n_terms])
 
 
 class TestBinomialSeries:
@@ -106,12 +119,30 @@ class TestOhtsukiTau:
             ohtsuki_tau(make_lens_space(2, 1), 0)
 
 
+class TestClosedFormAgainstComposition:
+    """lambda_n = C(alpha, n+1) - C(beta, n+1) equals the product and
+    quotient of the general series operations, exactly."""
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 8, 30])
+    def test_every_small_lens_space(self, n_terms):
+        for p in range(1, 41):
+            for q in range(0 if p == 1 else 1, max(p, 1)):
+                if math.gcd(p, q) == 1:
+                    L = make_lens_space(p, q)
+                    assert ohtsuki_tau(L, n_terms) == \
+                        series_by_composition(L, n_terms), (p, q)
+
+    @pytest.mark.parametrize("p, q", [(99991, 12345), (100003, 7),
+                                      (999983, 500000), (1000003, 2)])
+    def test_large_p(self, p, q):
+        L = make_lens_space(p, q)
+        assert ohtsuki_tau(L, 12) == series_by_composition(L, 12)
+
+
 class TestNumericEvaluation:
     def test_series_matches_closed_form_at_real_t(self):
         # at real t > 0 there is no branch ambiguity: the truncated series
         # must converge to t^(-3s) (t^(1/2p) - t^(-1/2p))/(t^(1/2) - t^(-1/2))
-        from lenstau.number_theory import dedekind_sum
-
         h = 0.125
         t = 1 + h
         for (p, q) in [(2, 1), (3, 1), (4, 3), (5, 2)]:
@@ -128,8 +159,6 @@ class TestNumericEvaluation:
         to the modular-inverse branch of the exact invariant; at r = 5,
         |h| > 1 and the series diverges.  Recorded as observed facts.
         """
-        from lenstau.number_theory import dedekind_sum
-
         rows = []
         for r in (5, 7):
             h = cmath.exp(2j * cmath.pi / r) - 1

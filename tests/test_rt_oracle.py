@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +209,34 @@ class TestVerify:
         parallel = sweep_verify(5, [3, 5], jobs=2)
         assert [(r.p, r.q, r.r, r.match) for r in serial] == \
             [(r.p, r.q, r.r, r.match) for r in parallel]
+
+    def test_sweep_workers_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool records its size and maps in-process, so no
+        # worker process starts whatever jobs asks for
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        serial = sweep_verify(3, [3, 5], jobs=1)
+        for cpus, jobs, pools in [(3, 10 ** 9, [3]), (3, 2, [2]),
+                                  (1, 64, []), (None, 64, [])]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            started.clear()
+            assert sweep_verify(3, [3, 5], jobs=jobs) == serial
+            assert started == pools, (cpus, jobs)
 
     def test_inconsistent_summary_flags(self):
         records = sweep_verify(4, [5], tolerance=1e-30)
