@@ -4,7 +4,9 @@ Commands: tau-prime, xi, ohtsuki, dedekind, jacobi, gauss, cf, oracle,
 verify.  Exact values are printed losslessly (rationals as
 numerator/denominator pairs, cyclotomic values as {order, coeffs});
 numeric values carry the tolerance in force.  Identical flags produce
-byte-identical JSON.
+byte-identical JSON.  main() may be called repeatedly in one process:
+every call reuses one parser, and plain text is rendered only for
+--format plain.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,15 +49,29 @@ def _rational_pair(x: Fraction) -> list[int]:
 
 
 def _emit(record: dict, fmt: str, plain_lines) -> None:
+    """Print the record as JSON, or the lines plain_lines() returns."""
     if fmt == "json":
         print(json.dumps(record, sort_keys=True))
     else:
-        for line in plain_lines:
+        for line in plain_lines():
             print(line)
 
 
 def _plain_cyclotomic(value: Cyclotomic) -> str:
     return f"{value}  (z = exp(2*pi*i/{value.order}))"
+
+
+def _plain_complex(z: dict) -> str:
+    return f"{_fmt_float(z['re'])} + {_fmt_float(z['im'])}i"
+
+
+def _exact_fields(value: Cyclotomic) -> dict:
+    """The exact value, its embedding and the embedding's error bound."""
+    return {
+        "value": value.to_dict(),
+        "numeric": _complex_dict(value.to_complex()),
+        "numeric_tolerance": EMBED_TOL,
+    }
 
 
 def _parse_r_list(text: str) -> list[int]:
@@ -76,19 +93,15 @@ def _parse_r_list(text: str) -> list[int]:
 def cmd_tau_prime(args) -> int:
     L = li.make_lens_space(args.p, args.q)
     result = li.tau_prime(L, args.r)
-    numeric = result.value.to_complex()
     record = {
         "p": L.p, "q": L.q, "r": args.r, "c": result.c,
         "branch": result.branch, "eta": result.eta,
-        "value": result.value.to_dict(),
-        "numeric": _complex_dict(numeric),
-        "numeric_tolerance": EMBED_TOL,
+        **_exact_fields(result.value),
     }
-    _emit(record, args.format, [
+    _emit(record, args.format, lambda: [
         f"tau'_{args.r}(L({L.p},{L.q}))  [branch {result.branch_label()}, c = {result.c}]",
         f"  exact: {_plain_cyclotomic(result.value)}",
-        f"  numeric: {_fmt_float(numeric.real)} + {_fmt_float(numeric.imag)}i"
-        f"  (+- {EMBED_TOL:g})",
+        f"  numeric: {_plain_complex(record['numeric'])}  (+- {EMBED_TOL:g})",
     ])
     return 0
 
@@ -96,18 +109,11 @@ def cmd_tau_prime(args) -> int:
 def cmd_xi(args) -> int:
     L = li.make_lens_space(args.p, args.q)
     value = li.xi_r(L, args.r)
-    numeric = value.to_complex()
-    record = {
-        "p": L.p, "q": L.q, "r": args.r,
-        "value": value.to_dict(),
-        "numeric": _complex_dict(numeric),
-        "numeric_tolerance": EMBED_TOL,
-    }
-    _emit(record, args.format, [
+    record = {"p": L.p, "q": L.q, "r": args.r, **_exact_fields(value)}
+    _emit(record, args.format, lambda: [
         f"xi_{args.r}(L({L.p},{L.q}), e_{args.r})",
         f"  exact: {_plain_cyclotomic(value)}",
-        f"  numeric: {_fmt_float(numeric.real)} + {_fmt_float(numeric.imag)}i"
-        f"  (+- {EMBED_TOL:g})",
+        f"  numeric: {_plain_complex(record['numeric'])}  (+- {EMBED_TOL:g})",
     ])
     return 0
 
@@ -119,39 +125,34 @@ def cmd_ohtsuki(args) -> int:
         "p": L.p, "q": L.q,
         "lambda": [_rational_pair(c) for c in series.coeffs],
     }
-    lines = [f"tau(L({L.p},{L.q})) in powers of h = t - 1:"]
-    lines += [f"  lambda_{n} = {c}" for n, c in enumerate(series.coeffs)]
-    _emit(record, args.format, lines)
+    _emit(record, args.format, lambda: [
+        f"tau(L({L.p},{L.q})) in powers of h = t - 1:",
+        *(f"  lambda_{n} = {c}" for n, c in enumerate(series.coeffs)),
+    ])
     return 0
 
 
 def cmd_dedekind(args) -> int:
     value = dedekind_sum(args.q, args.p)
     record = {"q": args.q, "p": args.p, "value": _rational_pair(value)}
-    _emit(record, args.format, [f"s({args.q},{args.p}) = {value}"])
+    _emit(record, args.format, lambda: [f"s({args.q},{args.p}) = {value}"])
     return 0
 
 
 def cmd_jacobi(args) -> int:
     value = jacobi_symbol(args.a, args.n)
     record = {"a": args.a, "n": args.n, "value": value}
-    _emit(record, args.format, [f"({args.a}|{args.n}) = {value}"])
+    _emit(record, args.format, lambda: [f"({args.a}|{args.n}) = {value}"])
     return 0
 
 
 def cmd_gauss(args) -> int:
     value = gauss_sum(args.c)
-    numeric = value.to_complex()
-    record = {
-        "c": args.c,
-        "value": value.to_dict(),
-        "numeric": _complex_dict(numeric),
-        "numeric_tolerance": EMBED_TOL,
-    }
-    _emit(record, args.format, [
+    record = {"c": args.c, **_exact_fields(value)}
+    _emit(record, args.format, lambda: [
         f"gauss_sum({args.c}) = epsilon({args.c}) * sqrt({args.c})",
         f"  exact: {_plain_cyclotomic(value)}",
-        f"  numeric: {_fmt_float(numeric.real)} + {_fmt_float(numeric.imag)}i",
+        f"  numeric: {_plain_complex(record['numeric'])}",
     ])
     return 0
 
@@ -159,7 +160,7 @@ def cmd_gauss(args) -> int:
 def cmd_cf(args) -> int:
     pres = rt.continued_fraction(args.p, args.q)
     record = {"p": args.p, "q": args.q, "framings": list(pres.framings)}
-    _emit(record, args.format, [
+    _emit(record, args.format, lambda: [
         f"{args.p}/{args.q} = {list(pres.framings)} (negative continued fraction)",
     ])
     return 0
@@ -176,10 +177,10 @@ def cmd_oracle(args) -> int:
         "framings": list(pres.framings),
         "value": _complex_dict(value),
     }
-    _emit(record, args.format, [
+    _emit(record, args.format, lambda: [
         f"{args.kind} invariant of L({args.p},{args.q}) at r = {args.r} "
         f"(chain {list(pres.framings)}):",
-        f"  {_fmt_float(value.real)} + {_fmt_float(value.imag)}i",
+        f"  {_plain_complex(record['value'])}",
     ])
     return 0
 
@@ -191,6 +192,12 @@ _CONVENTION_NOTE = (
 
 
 def cmd_verify(args) -> int:
+    if args.max_p < 1:
+        raise ValueError(f"--max-p must be >= 1, got {args.max_p}")
+    if not args.tolerance > 0:
+        raise ValueError("--tolerance must be positive")
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
     r_values = _parse_r_list(args.r)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     records = rt.sweep_verify(args.max_p, r_values, args.tolerance, jobs=jobs)
@@ -210,89 +217,68 @@ def cmd_verify(args) -> int:
         record["sign_study"] = {
             f"({s12},{srest})": stats for (s12, srest), stats in study.items()
         }
-    lines = [
-        f"verify sweep: p <= {args.max_p}, r in {r_values}, "
-        f"tolerance {args.tolerance:g}",
-        f"  convention: {_CONVENTION_NOTE}",
-        f"  cases: {summary['total']}",
-        f"  branch tallies: {summary['branch_counts']}",
-        f"  matches: {summary['match_counts']} (kind: {summary['match_kind']})",
-        f"  worst |error|: {_fmt_float(summary['worst_abs_error'])}",
-    ]
-    if args.per_case:
-        for rec in records:
-            lines.append(
-                f"    L({rec.p},{rec.q}) r={rec.r}: {rec.branch:12s} "
-                f"{rec.match:9s} err {_fmt_float(rec.abs_error)}")
-    if args.sign_study:
-        lines.append("  bracket sign study (CaseTwo instances):")
-        for key, stats in record["sign_study"].items():
-            lines.append(f"    signs {key}: {stats}")
-    _emit(record, args.format, lines)
+
+    def plain_lines() -> list[str]:
+        lines = [
+            f"verify sweep: p <= {args.max_p}, r in {r_values}, "
+            f"tolerance {args.tolerance:g}",
+            f"  convention: {_CONVENTION_NOTE}",
+            f"  cases: {summary['total']}",
+            f"  branch tallies: {summary['branch_counts']}",
+            f"  matches: {summary['match_counts']} "
+            f"(kind: {summary['match_kind']})",
+            f"  worst |error|: {_fmt_float(summary['worst_abs_error'])}",
+        ]
+        if args.per_case:
+            lines += [f"    L({rec.p},{rec.q}) r={rec.r}: {rec.branch:12s} "
+                      f"{rec.match:9s} err {_fmt_float(rec.abs_error)}"
+                      for rec in records]
+        if args.sign_study:
+            lines.append("  bracket sign study (CaseTwo instances):")
+            lines += [f"    signs {key}: {stats}"
+                      for key, stats in record["sign_study"].items()]
+        return lines
+
+    _emit(record, args.format, plain_lines)
     return 0 if summary["consistent"] else 2
 
 
-def _add_format(p: _Parser) -> None:
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-
-
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process and shared by every call."""
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("plain", "json"), default="plain")
+    pq = argparse.ArgumentParser(add_help=False)
+    pq.add_argument("--p", type=int, required=True)
+    pq.add_argument("--q", type=int, required=True)
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--r", type=int, required=True)
+
     parser = _Parser(prog="lenstau", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tau-prime", help="exact SO(3) invariant tau'_r")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_tau_prime)
+    def command(name, func, about, *parents) -> _Parser:
+        p = sub.add_parser(name, help=about, parents=[*parents, fmt])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("xi", help="exact invariant xi_r at e_r")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_xi)
-
-    p = sub.add_parser("ohtsuki", help="Ohtsuki series coefficients")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    command("tau-prime", cmd_tau_prime, "exact SO(3) invariant tau'_r",
+            pq, order)
+    command("xi", cmd_xi, "exact invariant xi_r at e_r", pq, order)
+    p = command("ohtsuki", cmd_ohtsuki, "Ohtsuki series coefficients", pq)
     p.add_argument("--terms", type=int, default=16)
-    _add_format(p)
-    p.set_defaults(func=cmd_ohtsuki)
-
-    p = sub.add_parser("dedekind", help="Dedekind sum s(q,p)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_dedekind)
-
-    p = sub.add_parser("jacobi", help="Jacobi symbol (a|n)")
+    command("dedekind", cmd_dedekind, "Dedekind sum s(q,p)", pq)
+    p = command("jacobi", cmd_jacobi, "Jacobi symbol (a|n)")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_jacobi)
-
-    p = sub.add_parser("gauss", help="quadratic Gauss sum, exact")
+    p = command("gauss", cmd_gauss, "quadratic Gauss sum, exact")
     p.add_argument("--c", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_gauss)
-
-    p = sub.add_parser("cf", help="negative continued fraction of p/q")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_cf)
-
-    p = sub.add_parser("oracle", help="numeric invariant from surgery data")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    command("cf", cmd_cf, "negative continued fraction of p/q", pq)
+    p = command("oracle", cmd_oracle, "numeric invariant from surgery data",
+                pq, order)
     p.add_argument("--kind", choices=("so3", "rt"), default="so3")
-    _add_format(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("verify", help="formula-vs-oracle sweep")
+    p = command("verify", cmd_verify, "formula-vs-oracle sweep")
     p.add_argument("--max-p", type=int, required=True, dest="max_p")
     p.add_argument("--r", type=str, required=True,
                    help="comma-separated odd orders, e.g. 3,5,7,9")
@@ -303,34 +289,19 @@ def build_parser() -> _Parser:
     p.add_argument("--per-case", action="store_true")
     p.add_argument("--sign-study", action="store_true",
                    help="also compare all bracket sign readings")
-    _add_format(p)
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        _validate(args)
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"lenstau: error: {exc}", file=sys.stderr)
         return 1
-
-
-def _validate(args) -> None:
-    """Checks no library function makes; the rest raise downstream."""
-    if getattr(args, "max_p", None) is not None and args.max_p < 1:
-        raise ValueError(f"--max-p must be >= 1, got {args.max_p}")
-    if getattr(args, "tolerance", None) is not None and not args.tolerance > 0:
-        raise ValueError("--tolerance must be positive")
-    if getattr(args, "jobs", None) is not None and args.jobs < 0:
-        raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
 
 
 if __name__ == "__main__":

@@ -87,8 +87,6 @@ def make_lens_space(p: int, q: int) -> LensSpace:
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) != 1")
     q %= p
-    if p == 1:
-        return LensSpace(1, 0, 0, 1)
     q_star = mod_inverse(q, p)
     p_star = (1 - q_star * q) // p
     return LensSpace(p, q, q_star, p_star)
@@ -225,8 +223,6 @@ def tau_prime(L: LensSpace, r: int,
     _check_order(r)
     p, q = L.p, L.q
     c = math.gcd(p, r)
-    if p == 1:
-        return TauPrimeResult(root_of_unity(r, 0), r, 1, CASE_ONE)
     if c == 1:
         return TauPrimeResult(
             _quantum_ratio(r, jacobi_symbol(p, r), -three_s_sqrt(L, r),
@@ -255,8 +251,6 @@ def xi_r(L: LensSpace, r: int,
     _check_order(r)
     p, q, q_star = L.p, L.q, L.q_star
     c = math.gcd(p, r)
-    if p == 1:
-        return root_of_unity(r, 0)
     if c == 1:
         # scalar e_r^(-12s) * e_p^(r'(q+q*)) = zeta_{pr}^E1 = zeta_r^(E1/p)
         r_inv = mod_inverse(r, p)

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cyclotomic import _check_order
 from .errors import EvenOrder, NotCoprime
 from .lens_invariants import LensSpace, make_lens_space, tau_prime
 
@@ -121,10 +122,12 @@ def modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
     """Level r-2 quantum sl2 data: (S matrix, T diagonal, anomaly unit).
 
     Colors 1..r-1; S_{jk} = sqrt(2/r) sin(pi j k / r); T is returned as
-    the 1-D array of twist eigenvalues.
+    the 1-D array of twist eigenvalues.  S is dense, so r is bounded by
+    the package's MAX_ORDER.
     """
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
+    _check_order(r)
     colors = np.arange(1, r, dtype=float)
     s = np.sqrt(2.0 / r) * np.sin(np.pi * np.outer(colors, colors) / r)
     t = _twists(r, colors)
@@ -138,6 +141,7 @@ def so3_modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
         raise EvenOrder(f"SO(3) data needs odd r, got {r}")
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
+    _check_order(r)
     colors = np.arange(1, r - 1, 2, dtype=float)
     s = (2.0 / np.sqrt(r)) * np.sin(np.pi * np.outer(colors, colors) / r)
     t = _twists(r, colors)

@@ -1,6 +1,8 @@
 import json
 
-from lenstau.cli import main
+import pytest
+
+from lenstau.cli import build_parser, main
 from lenstau.cyclotomic import Cyclotomic, gauss_sum
 
 
@@ -39,6 +41,16 @@ class TestTauPrime:
         from lenstau.lens_invariants import make_lens_space, tau_prime
         assert value == tau_prime(make_lens_space(5, 1), 5).value
 
+    def test_plain(self, capsys):
+        code, out, _ = run(capsys, "tau-prime", "--p", "5", "--q", "1",
+                           "--r", "5")
+        assert code == 0
+        assert out == (
+            "tau'_5(L(5,1))  [branch CaseTwo(-1), c = 5]\n"
+            "  exact: -z + z^3  (z = exp(2*pi*i/5))\n"
+            "  numeric: -1.1180339887498949 + -1.5388417685876266i"
+            "  (+- 1e-12)\n")
+
     def test_even_r_rejected(self, capsys):
         code, _, err = run(capsys, "tau-prime", "--p", "2", "--q", "1", "--r", "4")
         assert code == 1
@@ -69,6 +81,14 @@ class TestOhtsuki:
         _, out, _ = run(capsys, "ohtsuki", "--p", "2", "--q", "1",
                         "--terms", "2", "--format", "json")
         assert json.loads(out)["lambda"] == [[1, 2], [0, 1]]
+
+    def test_plain(self, capsys):
+        code, out, _ = run(capsys, "ohtsuki", "--p", "2", "--q", "1",
+                           "--terms", "2")
+        assert code == 0
+        assert out == ("tau(L(2,1)) in powers of h = t - 1:\n"
+                       "  lambda_0 = 1/2\n"
+                       "  lambda_1 = 0\n")
 
     def test_lambda0(self, capsys):
         _, out, _ = run(capsys, "ohtsuki", "--p", "3", "--q", "1",
@@ -150,7 +170,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-p", "1", "--r", "3",
                            "--jobs", "1")
         assert code == 0
-        assert "cases: 1" in out
+        assert out == (
+            "verify sweep: p <= 1, r in [3], tolerance 1e-08\n"
+            "  convention: oracle: S_jk ~ sin(pi*j*k/r), twists "
+            "exp(i*pi*(n^2-1)/(2r)), anomaly = Gauss-sum phase; "
+            "bracket signs (-1,-1) [oracle-calibrated]\n"
+            "  cases: 1\n"
+            "  branch tallies: {'CaseOne': 1}\n"
+            "  matches: {'direct': 1, 'conjugate': 0, 'none': 0} "
+            "(kind: either)\n"
+            "  worst |error|: 0\n")
 
     def test_even_r_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--max-p", "12", "--r", "4")
@@ -182,11 +211,18 @@ class TestVerify:
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):
+        # errors and another command in between must not disturb the
+        # parser that all calls in one process share
         args = ["tau-prime", "--p", "7", "--q", "3", "--r", "9",
                 "--format", "json"]
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        assert first == second
+        first = run(capsys, *args)
+        assert first[0] == 0
+        assert run(capsys, "tau-prime", "--p", "2", "--bogus")[0] == 1
+        assert run(capsys, "tau-prime", "--p", "2", "--q", "1",
+                   "--r", "4")[0] == 1
+        assert run(capsys, "ohtsuki", "--p", "3", "--q", "1",
+                   "--format", "json")[0] == 0
+        assert run(capsys, *args) == first
         args = ["verify", "--max-p", "4", "--r", "3,5", "--jobs", "1",
                 "--format", "json"]
         _, first, _ = run(capsys, *args)
@@ -225,3 +261,24 @@ class TestBadFlags:
     def test_bad_tolerance(self, capsys):
         assert run(capsys, "verify", "--max-p", "2", "--r", "3",
                    "--tolerance", "-1")[0] == 1
+
+
+class TestOneProcess:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_json_renders_no_plain_text(self, capsys, monkeypatch):
+        class Rendered(Exception):
+            pass
+
+        def refuse(self):
+            raise Rendered
+        monkeypatch.setattr(Cyclotomic, "__str__", refuse)
+        for argv in (["tau-prime", "--p", "5", "--q", "1", "--r", "5"],
+                     ["xi", "--p", "7", "--q", "3", "--r", "9"],
+                     ["gauss", "--c", "15"]):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            json.loads(out)
+        with pytest.raises(Rendered):
+            main(["gauss", "--c", "15"])

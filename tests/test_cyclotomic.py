@@ -180,6 +180,27 @@ class TestLiftDescend:
                                    for _ in range(degree(n))])
                 assert x.lift(n * mult).descend(n) == x
 
+    def test_descend_iff_galois_fixed(self):
+        # Reference criterion: x lies in Q(zeta_d) iff every automorphism
+        # z -> z^k with k = 1 (mod d) fixes it.
+        rng = random.Random(11)
+        outcomes = set()
+        for n in (12, 15, 21, 30, 45):
+            for d in (d for d in range(1, n) if n % d == 0):
+                fixing = [k for k in range(1 + d, n, d) if math.gcd(k, n) == 1]
+                inside = Cyclotomic(d, [rng.randrange(-3, 4)
+                                        for _ in range(degree(d))]).lift(n)
+                for k in range(n):
+                    x = inside + root_of_unity(n, k)
+                    fixed = all(x.galois_apply(j) == x for j in fixing)
+                    outcomes.add(fixed)
+                    if fixed:
+                        assert x.descend(d).lift(n) == x
+                    else:
+                        with pytest.raises(NotInSubfield):
+                            x.descend(d)
+        assert outcomes == {True, False}
+
     def test_lift_preserves_value(self):
         for n, mult in [(5, 3), (8, 2), (9, 2)]:
             x = Cyclotomic(n, list(range(1, degree(n) + 1)))

@@ -37,8 +37,9 @@ def lens_spaces(max_p):
 
 class TestMakeLensSpace:
     def test_sphere(self):
-        L = make_lens_space(1, 0)
-        assert (L.p, L.q, L.q_star, L.p_star) == (1, 0, 0, 1)
+        for q in (0, 5, -3):
+            L = make_lens_space(1, q)
+            assert (L.p, L.q, L.q_star, L.p_star) == (1, 0, 0, 1)
 
     def test_bezout_data(self):
         L = make_lens_space(25, 7)
@@ -76,10 +77,12 @@ class TestThreeSSqrt:
 
 class TestTauPrime:
     def test_sphere_normalization(self):
-        for r in (3, 7, 15, 21):
-            result = tau_prime(make_lens_space(1, 0), r)
-            assert result.value == 1
-            assert result.branch == CASE_ONE
+        for q in (0, 5, -3):
+            for r in (3, 7, 15, 21):
+                result = tau_prime(make_lens_space(1, q), r)
+                assert result.value == 1
+                assert result.branch == CASE_ONE and result.c == 1
+                assert xi_r(make_lens_space(1, q), r) == 1
 
     def test_rp3_hand_value(self):
         result = tau_prime(make_lens_space(2, 1), 3)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lenstau import cli, cyclotomic, rt_oracle
 from lenstau.errors import EvenOrder, NotCoprime
 from lenstau.lens_invariants import make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
@@ -85,6 +86,28 @@ class TestModularData:
     def test_so3_needs_odd(self):
         with pytest.raises(EvenOrder):
             so3_modular_data(6)
+
+
+class TestOrderBound:
+    """The dense S matrix is refused above MAX_ORDER before numpy runs."""
+
+    class Allocation(Exception):
+        pass
+
+    def test_refused_before_allocation(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise self.Allocation
+        monkeypatch.setattr(cyclotomic, "MAX_ORDER", 99)
+        monkeypatch.setattr(rt_oracle.np, "outer", refuse)
+        pres = continued_fraction(3, 1)
+        for fn in (rt_invariant, so3_invariant):
+            with pytest.raises(ValueError, match="MAX_ORDER"):
+                fn(pres, 101)
+        for kind in ("rt", "so3"):
+            code = cli.main(["oracle", "--p", "3", "--q", "1", "--r", "101",
+                             "--kind", kind])
+            assert code == 1
+            assert "MAX_ORDER" in capsys.readouterr().err
 
 
 class TestRtInvariant:
