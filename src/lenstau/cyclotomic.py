@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in canonical form: a dense vector of rational
-coefficients over the power basis 1, z, ..., z^(deg Phi_N - 1), fully
-reduced modulo the N-th cyclotomic polynomial Phi_N.  Equality is
-therefore coefficient-wise; values of different orders interoperate by
-lifting both to Q(zeta_lcm).
+Elements are stored in canonical form: a dense vector of integer
+numerators over the power basis 1, z, ..., z^(deg Phi_N - 1), fully
+reduced modulo the N-th cyclotomic polynomial Phi_N, over one positive
+common denominator; gcd(den, numerators) = 1 and zero has den 1.
+Phi_N is monic with integer coefficients, so reduction never leaves the
+integers.  Equality is therefore coefficient-wise; values of different
+orders interoperate by lifting both to Q(zeta_lcm).  ``coeffs`` is a
+read-only view of the same vector as ``Fraction``s.
 
 The canonical generator z of order N represents exp(2*pi*i/N).
 """
@@ -69,8 +72,9 @@ def degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce(coeffs: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in z (any length) modulo Phi_n, pad to full width.
+def _reduce(coeffs: Sequence[int], n: int) -> tuple[int, ...]:
+    """Reduce an integer polynomial in z (any length) modulo Phi_n, pad
+    to full width.
 
     Only the nonzero coefficients of Phi_n are visited: Phi_n is sparse at
     many orders (Phi_891 has 15 nonzero coefficients of 541).
@@ -82,29 +86,56 @@ def _reduce(coeffs: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            work[i] = _ZERO
             for j, a in terms:
                 work[i - deg + j] -= c * a
     work = work[:deg]
-    work += [_ZERO] * (deg - len(work))
+    work += [0] * (deg - len(work))
     return tuple(work)
+
+
+def _common_denominator(coeffs: Sequence) -> tuple[list[int], int]:
+    """Integer numerators and one denominator for rational coefficients."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 class Cyclotomic:
     """An exact element of Q(zeta_N) in canonical reduced form."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction | int]):
+    def __init__(self, order: int, coeffs: Sequence[Fraction | int],
+                 den: int = 1):
+        """The value sum_i coeffs[i] * z^i / den, reduced modulo Phi_order."""
         _check_order(order)
+        if set(map(type, coeffs)) - {int}:   # any non-int: Fraction path
+            coeffs, common = _common_denominator(coeffs)
+            den *= common
+        if den == 0:
+            raise ZeroDivisionError("cyclotomic value with denominator 0")
+        nums = _reduce(coeffs, order)
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
         self.order = order
-        self.coeffs = _reduce([Fraction(c) for c in coeffs], order)
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The reduced coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, x: Fraction | int, order: int = 1) -> "Cyclotomic":
-        return cls(order, [Fraction(x)])
+        return cls(order, [x])
 
     @classmethod
     def zero(cls, order: int = 1) -> "Cyclotomic":
@@ -113,10 +144,15 @@ class Cyclotomic:
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
-        }
+        den = self.den
+        if den == 1:
+            pairs = [[c, 1] for c in self.nums]
+        else:
+            pairs = []
+            for c in self.nums:
+                g = math.gcd(c, den)
+                pairs.append([c // g, den // g])
+        return {"order": self.order, "coeffs": pairs}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Cyclotomic":
@@ -126,15 +162,15 @@ class Cyclotomic:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- order changes ------------------------------------------------
 
@@ -146,11 +182,11 @@ class Cyclotomic:
             raise ValueError(f"{order} is not a multiple of {self.order}")
         _check_order(order)
         step = order // self.order
-        out = [_ZERO] * order
-        for i, c in enumerate(self.coeffs):
+        out = [0] * order
+        for i, c in enumerate(self.nums):
             if c:
-                out[i * step] += c
-        return Cyclotomic(order, out)
+                out[i * step] = c
+        return Cyclotomic(order, out, self.den)
 
     def descend(self, d: int) -> "Cyclotomic":
         """Re-express in Q(zeta_d) for a divisor d of the order.
@@ -164,11 +200,11 @@ class Cyclotomic:
             raise ValueError(f"{d} does not divide order {n}")
         if d == n:
             return self
-        sol = _solve_descend(n, d, self.coeffs)
+        sol = _solve_descend(n, d, self.nums)
         if sol is None:
             raise NotInSubfield(
                 f"value of order {n} is not in Q(zeta_{d})")
-        return Cyclotomic(d, sol)
+        return Cyclotomic(d, sol, self.den)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
@@ -190,12 +226,15 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return Cyclotomic(a.order, [x * sa + y * sb
+                                    for x, y in zip(a.nums, b.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return Cyclotomic(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "Cyclotomic":
         other = self._promote(other)
@@ -211,13 +250,13 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        prod = [_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        prod = [0] * (len(a.nums) + len(b.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b.nums):
                     if y:
                         prod[i + j] += x * y
-        return Cyclotomic(a.order, prod)
+        return Cyclotomic(a.order, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -260,11 +299,11 @@ class Cyclotomic:
         k %= n
         if math.gcd(k, n) != 1:
             raise NotCoprime(f"gcd({k}, {n}) != 1: not an automorphism")
-        out = [_ZERO] * n
-        for i, c in enumerate(self.coeffs):
+        out = [0] * n
+        for i, c in enumerate(self.nums):
             if c:
-                out[(i * k) % n] += c
-        return Cyclotomic(n, out)
+                out[(i * k) % n] = c
+        return Cyclotomic(n, out, self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, i.e. galois_apply(-1)."""
@@ -274,11 +313,11 @@ class Cyclotomic:
 
     def to_complex(self) -> complex:
         """Evaluate at z = exp(2*pi*i/N) in double precision."""
-        n = self.order
+        n, den = self.order, self.den
         total = 0j
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * i / n)
+                total += (c / den) * cmath.exp(2j * cmath.pi * i / n)
         return total
 
     # -- comparison and display ------------------------------------------
@@ -288,10 +327,10 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.nums))
 
     def __str__(self) -> str:
         terms = []
@@ -316,8 +355,8 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """The exact root of unity z_n^k (z_n = exp(2*pi*i/n))."""
     _check_order(n)
     k %= n
-    coeffs = [_ZERO] * (k + 1)
-    coeffs[k] = _ONE
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
     return Cyclotomic(n, coeffs)
 
 
@@ -334,7 +373,7 @@ def gauss_sum(c: int) -> Cyclotomic:
     counts = [0] * c
     for j in range(1, c + 1):
         counts[(j * j) % c] += 1
-    return Cyclotomic(c, [Fraction(v) for v in counts])
+    return Cyclotomic(c, counts)
 
 
 # -- internal exact linear algebra ------------------------------------
@@ -382,19 +421,19 @@ def _poly_modular_inverse(f: list[Fraction], phi: list[Fraction]) -> list[Fracti
 
 
 @lru_cache(maxsize=None)
-def _descend_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
+def _descend_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Columns: z_n^(j*n/d) for j < deg Phi_d, reduced into Q(zeta_n)."""
     step = n // d
     cols = []
     for j in range(degree(d)):
         e = (j * step) % n
-        vec = [_ZERO] * (e + 1)
-        vec[e] = _ONE
+        vec = [0] * (e + 1)
+        vec[e] = 1
         cols.append(_reduce(vec, n))
     return tuple(cols)
 
 
-def _solve_descend(n: int, d: int, target: Sequence[Fraction]):
+def _solve_descend(n: int, d: int, target: Sequence[Fraction | int]):
     """Solve sum_j c_j * basis_j = target exactly; None if inconsistent."""
     cols = _descend_basis(n, d)
     ncols = len(cols)
@@ -409,7 +448,7 @@ def _solve_descend(n: int, d: int, target: Sequence[Fraction]):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pr = rows[rank]
-        inv = 1 / pr[col]
+        inv = _ONE / pr[col]
         rows[rank] = pr = [v * inv for v in pr]
         for r in range(nrows):
             if r != rank and rows[r][col] != 0:

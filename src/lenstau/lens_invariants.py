@@ -20,8 +20,19 @@ Case 2 denominator inverts as
 
     1 / (z^-h - z^h) = -(1/r) * sum_{0 < j < r} j * z^(h(2j + 1)).
 
-Each nonzero value is therefore one integer combination of powers of z,
-built as a single Cyclotomic of order r.
+Multiplied by scale * z^phase * gauss_sum(c), whose integer coefficient
+g_i sits on z^(b_i - h) with b_i = phase + i*r/c + h, the coefficient of
+z^t is -(scale/r) * sum_i g_i * ((t - b_i)*u mod r) with u = (2h)' mod r.
+With s = t*u mod r and beta_i = b_i*u mod r that is
+
+    -(scale/r) * (G*s - M + r*A(s)),
+    G = sum_i g_i,  M = sum_i g_i*beta_i,  A(s) = sum_{beta_i > s} g_i,
+
+so the whole numerator vector comes from one suffix sum over a histogram
+of g at the positions beta_i, in O(r + c) integer steps.
+
+Each nonzero value is therefore one integer combination of powers of z
+over the denominator 1 or r, built as a single Cyclotomic of order r.
 
 ``xi_r`` is the same invariant family evaluated at the untwisted root
 e_r; composing it with the Galois substitution z -> z^((1 -+ r)/4) must
@@ -39,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from .cyclotomic import _check_order as _check_field_order
@@ -199,17 +209,25 @@ def _gauss_quotient(r: int, c: int, scale: int, phase: int,
                     h: int) -> Cyclotomic:
     """scale * z^phase * gauss_sum(c) / (z^-h - z^h) in Q(zeta_r), c | r.
 
-    gauss_sum(c) has integer coefficients g_i on z_c^i = z^(i*r/c).
+    gauss_sum(c) has integer coefficients g_i on z_c^i = z^(i*r/c); the
+    weighted power sum collapses to one suffix sum over the positions
+    beta_i (see the module docstring), so the cost is O(r + c).
     """
+    u = pow(2 * h, -1, r)               # r is odd and h a unit mod r
     step = r // c
-    sums = [0] * r
-    for i, g in enumerate(gauss_sum(c).coeffs):
+    hist = [0] * r                      # g_i at position beta_i
+    for i, g in enumerate(gauss_sum(c).nums):
         if g:
-            g = g.numerator
-            base = phase + i * step + h
-            for j in range(1, r):
-                sums[(base + 2 * h * j) % r] += g * j
-    return Cyclotomic(r, [Fraction(-scale * v, r) for v in sums])
+            hist[(phase + i * step + h) * u % r] += g
+    total = sum(hist)
+    moment = sum(beta * g for beta, g in enumerate(hist) if g)
+    nums = [0] * r
+    above = 0                           # A(s): sum of g_i with beta_i > s
+    two_h = 2 * h
+    for s in range(r - 1, -1, -1):
+        nums[s * two_h % r] = -scale * (total * s - moment + r * above)
+        above += hist[s]
+    return Cyclotomic(r, nums, r)
 
 
 def tau_prime(L: LensSpace, r: int,

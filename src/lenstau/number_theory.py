@@ -128,18 +128,22 @@ def dedekind_sum(q: int, p: int) -> Fraction:
 
     Uses s(q, p) = -1/4 + (p/q + q/p + 1/(pq))/12 - s(p, q) together
     with periodicity and oddness, descending like the Euclidean
-    algorithm in O(log p) exact steps.
+    algorithm in O(log p) steps; 12 * s accumulates as one integer
+    fraction, reduced once at the end.
     """
     _check_dedekind_args(q, p)
-    total = Fraction(0)
+    num, den = 0, 1                     # 12 * s(q, p) = num / den
     sign = 1
     q %= p
     while p > 1:
-        # s(q, p) = reciprocity(q, p) - s(p mod q, q)
-        total += sign * (Fraction(-1, 4) + Fraction(p * p + q * q + 1, 12 * p * q))
+        # s(q, p) = reciprocity(q, p) - s(p mod q, q), where
+        # 12 * reciprocity(q, p) = (p^2 + q^2 + 1 - 3pq) / (pq)
+        step = p * q
+        num = num * step + sign * (p * p + q * q + 1 - 3 * step) * den
+        den *= step
         sign = -sign
         p, q = q, p % q
-    return total
+    return Fraction(num, 12 * den)
 
 
 def _check_dedekind_args(q: int, p: int) -> None:

@@ -28,6 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,35 +119,48 @@ def _twists(r: int, colors: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * (colors.astype(float) ** 2 - 1) / (2 * r))
 
 
+@lru_cache(maxsize=2)
+def _modular_arrays(r: int, odd_colors: bool
+                    ) -> tuple[np.ndarray, np.ndarray, complex]:
+    """S, T and kappa for colors 1..r-1, or the odd ones only (SO(3)).
+
+    Cached per (r, kind): a sweep asks for the same data once per case.
+    The arrays are read-only because every caller shares them.
+    """
+    if odd_colors:
+        colors, norm = np.arange(1, r - 1, 2, dtype=float), 2.0 / np.sqrt(r)
+    else:
+        colors, norm = np.arange(1, r, dtype=float), np.sqrt(2.0 / r)
+    s = norm * np.sin(np.pi * np.outer(colors, colors) / r)
+    t = _twists(r, colors)
+    kappa = complex(np.sum(s[0] ** 2 * t) / s[0, 0])
+    s.flags.writeable = False
+    t.flags.writeable = False
+    return s, t, kappa
+
+
 def modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
     """Level r-2 quantum sl2 data: (S matrix, T diagonal, anomaly unit).
 
     Colors 1..r-1; S_{jk} = sqrt(2/r) sin(pi j k / r); T is returned as
     the 1-D array of twist eigenvalues.  S is dense, so r is bounded by
-    the package's MAX_ORDER.
+    the package's MAX_ORDER.  The arrays are cached and read-only.
     """
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
     _check_order(r)
-    colors = np.arange(1, r, dtype=float)
-    s = np.sqrt(2.0 / r) * np.sin(np.pi * np.outer(colors, colors) / r)
-    t = _twists(r, colors)
-    kappa = complex(np.sum(s[0] ** 2 * t) / s[0, 0])
-    return s, t, kappa
+    return _modular_arrays(r, False)
 
 
 def so3_modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Odd-color (SO(3)) modular data for odd r >= 3."""
+    """Odd-color (SO(3)) modular data for odd r >= 3; S_{jk} =
+    (2/sqrt(r)) sin(pi j k / r).  The arrays are cached and read-only."""
     if r % 2 == 0:
         raise EvenOrder(f"SO(3) data needs odd r, got {r}")
     if r < 3:
         raise ValueError(f"r must be >= 3, got {r}")
     _check_order(r)
-    colors = np.arange(1, r - 1, 2, dtype=float)
-    s = (2.0 / np.sqrt(r)) * np.sin(np.pi * np.outer(colors, colors) / r)
-    t = _twists(r, colors)
-    kappa = complex(np.sum(s[0] ** 2 * t) / s[0, 0])
-    return s, t, kappa
+    return _modular_arrays(r, True)
 
 
 def _contract(framings: tuple[int, ...], s: np.ndarray, t: np.ndarray,
@@ -250,10 +264,12 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
     """Run verify over every coprime (p, q), p <= max_p, for each r.
 
     Results are sorted by (p, q, r) regardless of worker scheduling.
-    At most os.cpu_count() workers start, whatever jobs asks for.
+    At most os.cpu_count() workers start, whatever jobs asks for.  Tasks
+    run with r outermost, so consecutive cases share the cached modular
+    data of their order.
     """
     tasks = [(p, q, r, tolerance)
-             for p, q in lens_space_range(max_p) for r in r_values]
+             for r in r_values for p, q in lens_space_range(max_p)]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

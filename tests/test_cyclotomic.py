@@ -74,6 +74,74 @@ class TestSparseReduction:
             assert Cyclotomic(n, [0] * k + phi).is_zero(), k
 
 
+def fraction_reduce(coeffs, n):
+    """The reduction modulo Phi_n in Fraction arithmetic (reference)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    terms = [(j, a) for j, a in enumerate(phi[:deg]) if a]
+    work = [Fraction(c) for c in coeffs]
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            work[i] = Fraction(0)
+            for j, a in terms:
+                work[i - deg + j] -= c * a
+    work = work[:deg]
+    return work + [Fraction(0)] * (deg - len(work))
+
+
+class TestIntegerCore:
+    """Integer numerators over one common denominator."""
+
+    @pytest.mark.parametrize("n", (*range(1, 301), 891, 1225, 4620))
+    def test_phi_matches_sympy(self, n):
+        specialpolys = pytest.importorskip("sympy.polys.specialpolys")
+        ref = specialpolys.cyclotomic_poly(n, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(a) for a in ref)
+
+    @pytest.mark.parametrize("n", (105, 891, 1225))
+    def test_integer_reduce_matches_fraction_reduce(self, n):
+        rng = random.Random(n)
+        for length in (1, degree(n), n, n + 1, 2 * n):
+            coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+                      if rng.random() < 0.3 else Fraction(0)
+                      for _ in range(length)]
+            den = math.lcm(*(c.denominator for c in coeffs))
+            nums = [int(c * den) for c in coeffs]
+            reduced = cyc._reduce(nums, n)
+            assert all(type(c) is int for c in reduced)
+            expected = fraction_reduce(coeffs, n)
+            assert [Fraction(c, den) for c in reduced] == expected, length
+            assert list(Cyclotomic(n, coeffs).coeffs) == expected, length
+
+    @pytest.mark.parametrize("n", (5, 12, 891))
+    def test_canonical_form(self, n):
+        x = Cyclotomic(n, [2, 4], den=6)
+        y = Cyclotomic(n, [Fraction(1, 3), Fraction(2, 3)])
+        assert x == y and hash(x) == hash(y)
+        assert (x.den, x.nums[:2]) == (3, (1, 2))
+        assert y.coeffs[:2] == (Fraction(1, 3), Fraction(2, 3))
+        neg = Cyclotomic(n, [3], den=-6)
+        assert (neg.den, neg.nums[0]) == (2, -1)
+        assert neg == Fraction(-1, 2) and hash(neg) == hash(
+            Cyclotomic.from_rational(Fraction(-1, 2), n))
+        zero = Cyclotomic(n, [0, 0, 0], den=7)
+        assert (zero.den, zero.is_zero()) == (1, True)
+        assert zero == Cyclotomic.zero(n) and hash(zero) == hash(
+            Cyclotomic.zero(n))
+
+    def test_coeffs_is_a_read_only_fraction_view(self):
+        x = Cyclotomic(7, [1, 2, 0, Fraction(1, 3)])
+        assert x.coeffs == (1, 2, 0, Fraction(1, 3), 0, 0)
+        assert all(type(c) is Fraction for c in x.coeffs)
+        with pytest.raises(AttributeError):
+            x.coeffs = ()
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            Cyclotomic(5, [1], den=0)
+
+
 class TestFieldOps:
     def test_vanishing_sum(self):
         z = root_of_unity(3, 1)

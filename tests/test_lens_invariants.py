@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import lenstau
 from lenstau import cyclotomic
 from lenstau import lens_invariants
-from lenstau.cyclotomic import gauss_sum, root_of_unity
+from lenstau.cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from lenstau.errors import (EvenOrder, IntegralityFailure, NonPositiveP,
                             NotCoprime, OrderOne)
 from lenstau.lens_invariants import (BRACKET_CALIBRATED, CASE_ONE, CASE_TWO,
@@ -284,6 +285,45 @@ class TestClosedForms:
             num = -2 * root_of_unity(r, 5) * gauss_sum(c).lift(r)
             den = root_of_unity(r, -h) - root_of_unity(r, h)
             assert _gauss_quotient(r, c, -2, 5, h) == num / den, (c, h)
+
+
+def double_loop_gauss_quotient(r, c, scale, phase, h):
+    """The weighted power sum, one Gauss coefficient and one j at a time."""
+    step = r // c
+    sums = [0] * r
+    for i, g in enumerate(gauss_sum(c).coeffs):
+        if g:
+            base = phase + i * step + h
+            for j in range(1, r):
+                sums[(base + 2 * h * j) % r] += g.numerator * j
+    return Cyclotomic(r, [Fraction(-scale * v, r) for v in sums])
+
+
+class TestGaussQuotientSuffixSum:
+    """The O(r + c) suffix-sum form against the O(c * r) double loop."""
+
+    @pytest.mark.parametrize("r", range(3, 46, 2))
+    def test_every_divisor_small_orders(self, r):
+        for c in (c for c in range(3, r + 1, 2) if r % c == 0):
+            for h in (mod_inverse(2, r), 2):
+                for scale, phase in ((1, 0), (-3, r - 2), (2, 7)):
+                    got = _gauss_quotient(r, c, scale, phase, h)
+                    ref = double_loop_gauss_quotient(r, c, scale, phase, h)
+                    assert got == ref, (c, h, scale, phase)
+                    assert got.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("c", (9, 81, 891))
+    def test_order_891(self, c):
+        for h in (mod_inverse(2, 891), 2):
+            assert (_gauss_quotient(891, c, -1, 300, h)
+                    == double_loop_gauss_quotient(891, c, -1, 300, h)), h
+
+    def test_max_order_worst_case(self):
+        # Case 2 with c = r at an order near MAX_ORDER.
+        L = make_lens_space(4995, 1)
+        result = tau_prime(L, 4995)
+        assert (result.branch, result.c) == (CASE_TWO, 4995)
+        assert result.value == tau_prime_via_galois(L, 4995)
 
 
 def test_invariant_guards_raise_under_optimize():

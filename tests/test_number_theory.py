@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lenstau.errors import EvenInput, EvenModulus, NotCoprime
+from lenstau.lens_invariants import _twelve_s_times_p, make_lens_space
 from lenstau.number_theory import (bezout_pair, dedekind_sum,
                                    dedekind_sum_direct, epsilon, ext_gcd,
                                    jacobi_symbol, mod_inverse, rational_mod,
@@ -175,7 +176,7 @@ class TestDedekindSum:
         assert dedekind_sum_direct(1, 3) == Fraction(1, 18)
 
     def test_recursion_matches_direct(self):
-        for p in range(1, 60):
+        for p in range(1, 81):
             for q in range(p):
                 if math.gcd(q, p) == 1:
                     assert dedekind_sum(q, p) == dedekind_sum_direct(q, p)
@@ -210,6 +211,22 @@ class TestDedekindSum:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             dedekind_sum(2, 4)
+
+    def test_large_arguments(self):
+        # 12*p*s(q,p) is an int, and reciprocity holds exactly, far beyond
+        # the reach of the direct sum.
+        rng = random.Random(12)
+        checked = 0
+        while checked < 200:
+            p = rng.randrange(2, 10 ** 7)
+            q = rng.randrange(1, p)
+            if math.gcd(p, q) != 1:
+                continue
+            m = _twelve_s_times_p(make_lens_space(p, q))
+            assert type(m) is int and m == 12 * p * dedekind_sum(q, p)
+            assert dedekind_sum(q, p) + dedekind_sum(p, q) == Fraction(
+                -1, 4) + Fraction(p * p + q * q + 1, 12 * p * q)
+            checked += 1
 
     def test_sawtooth(self):
         assert sawtooth(3) == 0

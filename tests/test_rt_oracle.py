@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import math
 import os
 from fractions import Fraction
@@ -10,7 +11,8 @@ from lenstau import cli, cyclotomic, rt_oracle
 from lenstau.errors import EvenOrder, NotCoprime
 from lenstau.lens_invariants import make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
-                               cf_value, continued_fraction, linking_matrix,
+                               cf_value, continued_fraction,
+                               lens_space_range, linking_matrix,
                                modular_data, rt_invariant, signature,
                                so3_invariant, so3_modular_data, summarize,
                                sweep_verify, verify)
@@ -86,6 +88,34 @@ class TestModularData:
     def test_so3_needs_odd(self):
         with pytest.raises(EvenOrder):
             so3_modular_data(6)
+
+
+class TestModularDataCache:
+    @pytest.mark.parametrize("data", (modular_data, so3_modular_data))
+    def test_shared_and_read_only(self, data):
+        first = data(7)
+        assert data(7) is first
+        s, t, _ = first
+        for array in (s, t):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert data(9) is not first
+
+    def test_sweep_builds_each_order_once(self):
+        rt_oracle._modular_arrays.cache_clear()
+        sweep_verify(8, [3, 5, 7], jobs=1)
+        assert rt_oracle._modular_arrays.cache_info().misses == 3
+
+    def test_cached_sweep_prints_the_uncached_cases(self, capsys):
+        assert cli.main(["verify", "--max-p", "12", "--r", "3,5,7,9",
+                         "--per-case", "--format", "json", "--jobs", "1"]) == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        expected = []
+        for p, q in lens_space_range(12):
+            for r in (3, 5, 7, 9):
+                rt_oracle._modular_arrays.cache_clear()
+                expected.append(verify(make_lens_space(p, q), r).to_dict())
+        assert cases == expected
 
 
 class TestOrderBound:
