@@ -49,12 +49,23 @@ def _rational_pair(x: Fraction) -> list[int]:
 
 
 def _emit(record: dict, fmt: str, plain_lines) -> None:
-    """Print the record as JSON, or the lines plain_lines() returns."""
-    if fmt == "json":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for line in plain_lines():
-            print(line)
+    """Print the record as JSON, or the lines plain_lines() returns.
+
+    Exact values print in full: the limit on int-to-str digits (4300 by
+    default since Python 3.10.7) is lifted while the record is rendered.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps(record, sort_keys=True))
+        else:
+            for line in plain_lines():
+                print(line)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _plain_cyclotomic(value: Cyclotomic) -> str:
@@ -266,7 +277,9 @@ def build_parser() -> _Parser:
             pq, order)
     command("xi", cmd_xi, "exact invariant xi_r at e_r", pq, order)
     p = command("ohtsuki", cmd_ohtsuki, "Ohtsuki series coefficients", pq)
-    p.add_argument("--terms", type=int, default=16)
+    p.add_argument("--terms", type=int, default=16,
+                   help="coefficients lambda_0 .. lambda_(terms-1), "
+                        f"at most {oh.MAX_TERMS}")
     command("dedekind", cmd_dedekind, "Dedekind sum s(q,p)", pq)
     p = command("jacobi", cmd_jacobi, "Jacobi symbol (a|n)")
     p.add_argument("--a", type=int, required=True)
@@ -282,7 +295,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-p", type=int, required=True, dest="max_p")
     p.add_argument("--r", type=str, required=True,
                    help="comma-separated odd orders, e.g. 3,5,7,9")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=1e-8,
+                   help="relative bound: a case matches when "
+                        "|formula - oracle| <= tolerance * max(1, |formula|)")
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes, at most the CPU count "
                         "(default: available parallelism)")

@@ -37,33 +37,58 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials, den monic, zero remainder."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        out[i - dn] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    if any(num[:dn]):
-        raise ArithmeticError("non-exact cyclotomic division")
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _times_xd_minus_one(poly: list[int], d: int) -> list[int]:
+    """poly * (x^d - 1)."""
+    out = [0] * d + poly
+    for i, c in enumerate(poly):
+        out[i] -= c
     return out
+
+
+def _div_xd_minus_one(poly: list[int], d: int) -> list[int]:
+    """The exact quotient q = poly / (x^d - 1), by q_i = q_(i-d) - a_i;
+    ArithmeticError if the remainder is nonzero."""
+    n = len(poly) - d
+    if n < 1:
+        raise ArithmeticError("non-exact cyclotomic division")
+    q = []
+    for i in range(n):
+        q.append((q[i - d] if i >= d else 0) - poly[i])
+    if any(poly[i] != (q[i - d] if i >= d else 0)
+           for i in range(n, n + d)):
+        raise ArithmeticError("non-exact cyclotomic division")
+    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of Phi_n, via dividing x^n - 1 by all
-    Phi_d for proper divisors d of n."""
+    """Coefficients (ascending) of Phi_n, from the Moebius product
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): multiply by the factors with
+    mu = +1, then divide exactly by those with mu = -1."""
     _check_order(n)
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+    up, down = [n], []          # d = n/e for squarefree e, split by mu(e)
+    for p in _prime_factors(n):
+        up, down = up + [d // p for d in down], down + [d // p for d in up]
+    poly = [1]
+    for d in up:
+        poly = _times_xd_minus_one(poly, d)
+    for d in down:
+        poly = _div_xd_minus_one(poly, d)
     return tuple(poly)
 
 

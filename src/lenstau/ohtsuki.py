@@ -10,6 +10,18 @@ top and bottom by t^(1/2) turns the denominator into t - 1 = h, so
 
 and lambda_n = C(alpha, n + 1) - C(beta, n + 1): one code path for even
 and odd p, with no series product or inverse.
+
+The whole series is integer arithmetic.  With m = 12 s(q,p) p, an
+integer, alpha and beta share the denominator b = 4p:
+
+    alpha, beta = (2p - m +- 2) / b,
+
+and C(a/b, k) = P_a(k) / (b^k k!) with the integer falling product
+P_a(k) = prod_{j < k} (a - j b).  So
+
+    lambda_(k-1) = (P_(2p-m+2)(k) - P_(2p-m-2)(k)) / (b^k k!),
+
+two running integer products and one reduction per coefficient.
 """
 
 from __future__ import annotations
@@ -18,8 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvertible
-from .lens_invariants import LensSpace
-from .number_theory import dedekind_sum
+from .lens_invariants import LensSpace, _twelve_s_times_p
+
+# Largest supported truncation.  The cost grows about as n_terms^3: the
+# coefficients have O(n_terms) digits and each is reduced by one gcd.
+# `lenstau ohtsuki --p 999983 --q 2 --format json` takes 2.1 s and 37 MB
+# at 1000 terms (8 MB of output), 15 s and 63 MB at 2000.
+MAX_TERMS = 1000
 
 
 @dataclass(frozen=True)
@@ -104,15 +121,37 @@ class FormalSeries:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
-def binomial_series(alpha: Fraction | int, n_terms: int) -> FormalSeries:
-    """(1 + h)^alpha to n_terms coefficients, C(alpha, n) by the exact
-    recurrence C(alpha,0) = 1, C(alpha,n) = C(alpha,n-1)*(alpha-n+1)/n."""
+def _check_terms(n_terms: int) -> None:
+    """Refuse n_terms outside 1..MAX_TERMS before any O(n_terms) work."""
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    if n_terms > MAX_TERMS:
+        raise ValueError(f"n_terms {n_terms} exceeds MAX_TERMS = {MAX_TERMS}")
+
+
+def _falling_products(a: int, b: int, n: int) -> list[int]:
+    """P(k) = prod_{j < k} (a - j*b) for 0 <= k < n, so that
+    C(a/b, k) = P(k) / (b^k * k!)."""
+    out = [1]
+    prod = 1
+    for j in range(n - 1):
+        prod *= a - j * b
+        out.append(prod)
+    return out
+
+
+def binomial_series(alpha: Fraction | int, n_terms: int) -> FormalSeries:
+    """(1 + h)^alpha to n_terms coefficients, C(alpha, k) = P(k)/(b^k k!)
+    for alpha = a/b, one reduction per coefficient."""
+    _check_terms(n_terms)
     alpha = Fraction(alpha)
+    b = alpha.denominator
+    nums = _falling_products(alpha.numerator, b, n_terms)
     coeffs = [Fraction(1)]
-    for n in range(1, n_terms):
-        coeffs.append(coeffs[-1] * (alpha - n + 1) / n)
+    den = 1
+    for k in range(1, n_terms):
+        den *= b * k
+        coeffs.append(Fraction(nums[k], den))
     return FormalSeries(tuple(coeffs))
 
 
@@ -122,9 +161,14 @@ def ohtsuki_tau(L: LensSpace, n_terms: int = 16) -> FormalSeries:
     lambda_0 is always 1/p; the series is invariant under q -> q + p
     and q -> q* (each pair presents the same oriented lens space).
     """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    a = Fraction(1, 2) - 3 * dedekind_sum(L.q, L.p)
-    d = Fraction(1, 2 * L.p)
-    return (binomial_series(a + d, n_terms + 1)
-            - binomial_series(a - d, n_terms + 1)).shift_down(1)
+    _check_terms(n_terms)
+    m = _twelve_s_times_p(L)
+    b = 4 * L.p
+    up = _falling_products(2 * L.p - m + 2, b, n_terms + 1)
+    down = _falling_products(2 * L.p - m - 2, b, n_terms + 1)
+    coeffs = []
+    den = 1
+    for k in range(1, n_terms + 1):
+        den *= b * k
+        coeffs.append(Fraction(up[k] - down[k], den))
+    return FormalSeries(tuple(coeffs))

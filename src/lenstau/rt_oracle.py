@@ -225,7 +225,9 @@ def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
 
     Both the value and its complex conjugate are tested (the two
     orientation conventions); a mismatch is reported as data, not
-    raised.
+    raised.  The tolerance is relative: an error counts up to
+    tolerance * max(1, |formula|), since the oracle's rounding error
+    grows with the size of the value.
     """
     kwargs = {} if bracket_signs is None else {"bracket_signs": bracket_signs}
     result = tau_prime(L, r, **kwargs)
@@ -233,9 +235,10 @@ def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
     oracle = so3_invariant(continued_fraction(L.p, L.q), r)
     direct = abs(formula - oracle)
     conj = abs(formula.conjugate() - oracle)
-    if direct <= tolerance:
+    bound = tolerance * max(1.0, abs(formula))
+    if direct <= bound:
         match, err = "direct", direct
-    elif conj <= tolerance:
+    elif conj <= bound:
         match, err = "conjugate", conj
     else:
         match, err = "none", min(direct, conj)

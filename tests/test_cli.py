@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
 
+from lenstau import ohtsuki as oh
 from lenstau.cli import build_parser, main
 from lenstau.cyclotomic import Cyclotomic, gauss_sum
+from lenstau.lens_invariants import make_lens_space
 
 
 def run(capsys, *argv):
@@ -99,6 +102,34 @@ class TestOhtsuki:
         code, _, err = run(capsys, "ohtsuki", "--p", "3", "--q", "1",
                            "--terms", "0")
         assert code == 1
+
+    def test_terms_above_max_terms(self, capsys):
+        code, _, err = run(capsys, "ohtsuki", "--p", "3", "--q", "1",
+                           "--terms", str(oh.MAX_TERMS + 1))
+        assert code == 1
+        assert "MAX_TERMS" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_coefficients_past_the_int_digit_limit(self, capsys, fmt):
+        # denominators of about 5000 digits, past Python's default
+        # 4300-digit limit on int-to-str conversion
+        p = 10 ** 40 + 1
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "ohtsuki", "--p", str(p), "--q", "1",
+                             "--terms", "120", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        last = oh.ohtsuki_tau(make_lens_space(p, 1), 120).coeffs[-1]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(last.denominator)) > 4300
+            if fmt == "json":
+                assert json.loads(out)["lambda"][-1] == \
+                    [last.numerator, last.denominator]
+            else:
+                assert out.splitlines()[-1] == f"  lambda_119 = {last}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSmallCommands:

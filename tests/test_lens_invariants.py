@@ -329,7 +329,7 @@ class TestGaussQuotientSuffixSum:
 def test_invariant_guards_raise_under_optimize():
     """The typed checks that replaced asserts still run under python -O."""
     code = textwrap.dedent("""
-        from lenstau.cyclotomic import _int_poly_div_exact
+        from lenstau.cyclotomic import _div_xd_minus_one
         from lenstau.errors import IntegralityFailure
         from lenstau.lens_invariants import LensSpace, _branch_eta
 
@@ -337,7 +337,7 @@ def test_invariant_guards_raise_under_optimize():
         for call, error in (
                 (lambda: _branch_eta(LensSpace(4, 1, 1, 0), 2),
                  IntegralityFailure),
-                (lambda: _int_poly_div_exact([1, 0, 1], [-1, 1]),
+                (lambda: _div_xd_minus_one([1, 0, 1], 1),
                  ArithmeticError)):
             try:
                 call()

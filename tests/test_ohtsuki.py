@@ -1,10 +1,12 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from lenstau.errors import NotInvertible
+from lenstau import cli, lens_invariants, ohtsuki
+from lenstau.errors import IntegralityFailure, NotInvertible
 from lenstau.lens_invariants import make_lens_space, tau_prime
 from lenstau.number_theory import dedekind_sum, jacobi_symbol
 from lenstau.ohtsuki import FormalSeries, binomial_series, ohtsuki_tau
@@ -137,6 +139,86 @@ class TestClosedFormAgainstComposition:
     def test_large_p(self, p, q):
         L = make_lens_space(p, q)
         assert ohtsuki_tau(L, 12) == series_by_composition(L, 12)
+
+
+def fraction_binomial(alpha, n_terms):
+    """C(alpha, n) by the Fraction recurrence
+    C(alpha, n) = C(alpha, n-1) * (alpha - n + 1) / n (reference)."""
+    alpha = Fraction(alpha)
+    coeffs = [Fraction(1)]
+    for n in range(1, n_terms):
+        coeffs.append(coeffs[-1] * (alpha - n + 1) / n)
+    return tuple(coeffs)
+
+
+def fraction_ohtsuki(L, n_terms):
+    """lambda_n = C(alpha, n+1) - C(beta, n+1) in Fraction arithmetic,
+    alpha, beta = 1/2 - 3 s(q,p) +- 1/(2p) (reference)."""
+    a = Fraction(1, 2) - 3 * dedekind_sum(L.q, L.p)
+    d = Fraction(1, 2 * L.p)
+    up = fraction_binomial(a + d, n_terms + 1)
+    down = fraction_binomial(a - d, n_terms + 1)
+    return tuple(x - y for x, y in zip(up[1:], down[1:]))
+
+
+class TestIntegerOhtsuki:
+    """The integer falling products over (4p)^k k! against the Fraction
+    recurrence, exactly."""
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 8, 30, 81])
+    def test_every_small_lens_space(self, n_terms):
+        for p in range(1, 41):
+            for q in range(0 if p == 1 else 1, max(p, 1)):
+                if math.gcd(p, q) == 1:
+                    L = make_lens_space(p, q)
+                    assert ohtsuki_tau(L, n_terms).coeffs == \
+                        fraction_ohtsuki(L, n_terms), (p, q)
+
+    def test_seeded_large_p(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            p = rng.randrange(2, 10 ** 7)
+            q = rng.randrange(1, p)
+            while math.gcd(p, q) != 1:
+                q = rng.randrange(1, p)
+            L = make_lens_space(p, q)
+            assert ohtsuki_tau(L, 80).coeffs == fraction_ohtsuki(L, 80), (p, q)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 5, -3, Fraction(1, 2),
+                                       Fraction(-7, 3),
+                                       Fraction(123457, 1000003)])
+    def test_binomial_series(self, alpha):
+        for n_terms in range(1, 41):
+            assert binomial_series(alpha, n_terms).coeffs == \
+                fraction_binomial(alpha, n_terms), n_terms
+
+    def test_non_integral_twelve_s_times_p(self, monkeypatch):
+        monkeypatch.setattr(lens_invariants, "dedekind_sum",
+                            lambda q, p: Fraction(1, 7 * p))
+        with pytest.raises(IntegralityFailure):
+            ohtsuki_tau(make_lens_space(5, 2), 4)
+
+
+class TestTermsBound:
+    """n_terms above MAX_TERMS is refused before any O(n_terms) work."""
+
+    class TermWork(Exception):
+        pass
+
+    def test_refused_before_work(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise self.TermWork
+        monkeypatch.setattr(ohtsuki, "MAX_TERMS", 10)
+        monkeypatch.setattr(ohtsuki, "_falling_products", refuse)
+        for fn, arg in ((ohtsuki_tau, make_lens_space(3, 1)),
+                        (binomial_series, Fraction(1, 3))):
+            with pytest.raises(ValueError, match="MAX_TERMS"):
+                fn(arg, 11)
+            with pytest.raises(self.TermWork):
+                fn(arg, 10)
+        assert cli.main(["ohtsuki", "--p", "3", "--q", "1",
+                         "--terms", "11"]) == 1
+        assert "MAX_TERMS" in capsys.readouterr().err
 
 
 class TestNumericEvaluation:

@@ -291,6 +291,16 @@ class TestVerify:
             assert sweep_verify(3, [3, 5], jobs=jobs) == serial
             assert started == pools, (cpus, jobs)
 
+    @pytest.mark.parametrize("p, q", [(99, 1), (252, 181)])
+    def test_tolerance_scales_with_value(self, p, q):
+        # |value| is 1411 and 425; the oracle's absolute error (1.6e-8,
+        # 3.2e-8) exceeds 1e-8 but its relative error is below 1e-10
+        rec = verify(make_lens_space(p, q), 891)
+        assert abs(rec.formula_value) > 100
+        assert rec.abs_error > 1e-8
+        assert rec.match == "direct"
+        assert rec.tolerance == 1e-8
+
     def test_inconsistent_summary_flags(self):
         records = sweep_verify(4, [5], tolerance=1e-30)
         summary = summarize(records)
