@@ -55,7 +55,8 @@ from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from .cyclotomic import _check_order as _check_field_order
 from .errors import (EvenOrder, IntegralityFailure, NonPositiveP, NotCoprime,
                      OrderOne)
-from .number_theory import bezout_pair, dedekind_sum, jacobi_symbol, mod_inverse
+from .number_theory import (_twelve_dedekind, bezout_pair, jacobi_symbol,
+                            mod_inverse)
 
 CASE_ONE = "CaseOne"
 CASE_TWO = "CaseTwo"
@@ -113,11 +114,13 @@ def _check_order(r: int) -> None:
 
 def _twelve_s_times_p(L: LensSpace) -> int:
     """The integer 12*s(q,p)*p (the denominator of 12*s divides p)."""
-    m = 12 * dedekind_sum(L.q, L.p) * L.p
-    if m.denominator != 1:
+    num, den = _twelve_dedekind(L.q, L.p)
+    m, rem = divmod(num * L.p, den)
+    if rem:
         raise IntegralityFailure(
-            f"12*s({L.q},{L.p})*{L.p} is not an integer: {m}")
-    return m.numerator
+            f"12*s({L.q},{L.p})*{L.p} is not an integer: "
+            f"{num * L.p}/{den}")
+    return m
 
 
 def three_s_sqrt(L: LensSpace, r: int) -> int:

@@ -124,12 +124,18 @@ def dedekind_sum_direct(q: int, p: int) -> Fraction:
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
-    """The Dedekind sum s(q, p), gcd(q, p) = 1, via reciprocity.
+    """The Dedekind sum s(q, p), gcd(q, p) = 1, via reciprocity."""
+    num, den = _twelve_dedekind(q, p)
+    return Fraction(num, 12 * den)
+
+
+def _twelve_dedekind(q: int, p: int) -> tuple[int, int]:
+    """12 * s(q, p) as an integer pair (num, den), den > 0, not reduced.
 
     Uses s(q, p) = -1/4 + (p/q + q/p + 1/(pq))/12 - s(p, q) together
     with periodicity and oddness, descending like the Euclidean
     algorithm in O(log p) steps; 12 * s accumulates as one integer
-    fraction, reduced once at the end.
+    fraction.
     """
     _check_dedekind_args(q, p)
     num, den = 0, 1                     # 12 * s(q, p) = num / den
@@ -143,7 +149,7 @@ def dedekind_sum(q: int, p: int) -> Fraction:
         den *= step
         sign = -sign
         p, q = q, p % q
-    return Fraction(num, 12 * den)
+    return num, den
 
 
 def _check_dedekind_args(q: int, p: int) -> None:

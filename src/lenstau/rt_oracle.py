@@ -20,6 +20,14 @@ Conventions (fixed by calibration, see the tests):
 With these choices the oracle reproduces the exact tau'_r values
 directly (not up to conjugation); `verify` nevertheless reports the
 match kind so an orientation flip cannot pass silently.
+
+Cost of a sweep: the chain of p/q is a_1 followed by the chain of
+q/(a_1*q - p), itself a case of the same sweep, so within one
+`sweep_verify` batch the oracle reuses the contracted chain tails of
+the current order (a memo dict owned by the batch, dropped when r
+changes).  No contraction is cached across calls; only the modular data
+of the last two orders are.  With `jobs` > 1 the cases are dealt
+round-robin into one batch per worker.
 """
 
 from __future__ import annotations
@@ -164,14 +172,33 @@ def so3_modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
 
 
 def _contract(framings: tuple[int, ...], s: np.ndarray, t: np.ndarray,
-              kappa: complex) -> complex:
-    """kappa^(-sigma) * (s0^T T^a1 S ... S T^am s0) / S_00."""
+              kappa: complex, memo: dict | None = None) -> complex:
+    """kappa^(-sigma) * (s0^T T^a1 S ... S T^am s0) / S_00.
+
+    memo, when given, maps a chain suffix (a_k, ..., a_m) to its
+    contracted vector T^a_k S ... S T^a_m s0 for these S and T.  The
+    loop then starts from the longest suffix found there and stores
+    each new suffix; every vector is computed by the same operations in
+    the same order as without it, so the result is bit-identical.
+    """
     if not framings:
         return 1.0 + 0j
     vac = s[0]
-    vec = t ** framings[-1] * vac
-    for a in framings[-2::-1]:
-        vec = t ** a * (s @ vec)
+    vec = None                           # contracts framings[top:]
+    if memo is not None:
+        for top in range(len(framings)):     # longest suffix first
+            vec = memo.get(framings[top:])
+            if vec is not None:
+                break
+    if vec is None:
+        top = len(framings) - 1
+        vec = t ** framings[top] * vac
+        if memo is not None:
+            memo[framings[top:]] = vec
+    for k in range(top - 1, -1, -1):
+        vec = t ** framings[k] * (s @ vec)
+        if memo is not None:
+            memo[framings[k:]] = vec
     w = complex(vac @ vec)
     return kappa ** (-signature(framings)) * w / s[0, 0]
 
@@ -183,12 +210,17 @@ def rt_invariant(pres: SurgeryPresentation, r: int) -> complex:
     return _contract(pres.framings, s, t, kappa)
 
 
-def so3_invariant(pres: SurgeryPresentation, r: int) -> complex:
-    """The SO(3) invariant tau'_r (odd colors only), tau'_r(S^3) = 1."""
+def so3_invariant(pres: SurgeryPresentation, r: int, *,
+                  memo: dict | None = None) -> complex:
+    """The SO(3) invariant tau'_r (odd colors only), tau'_r(S^3) = 1.
+
+    memo is a dict of contracted chain suffixes for this r only (see
+    _contract); the caller owns it and drops it with its order.
+    """
     if r % 2 == 0:
         raise EvenOrder(f"so3_invariant needs odd r, got {r}")
     s, t, kappa = so3_modular_data(r)
-    return _contract(pres.framings, s, t, kappa)
+    return _contract(pres.framings, s, t, kappa, memo)
 
 
 @dataclass(frozen=True)
@@ -202,6 +234,7 @@ class VerifyRecord:
     formula_value: complex
     oracle_value: complex
     tolerance: float
+    bound: float          # tolerance * max(1, |formula|)
 
     def to_dict(self) -> dict:
         return {
@@ -216,23 +249,26 @@ class VerifyRecord:
             "oracle_value": {"re": self.oracle_value.real,
                              "im": self.oracle_value.imag},
             "tolerance": self.tolerance,
+            "bound": self.bound,
         }
 
 
 def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
-           bracket_signs: tuple[int, int] | None = None) -> VerifyRecord:
+           bracket_signs: tuple[int, int] | None = None, *,
+           memo: dict | None = None) -> VerifyRecord:
     """Compare the closed formula against the numeric oracle.
 
     Both the value and its complex conjugate are tested (the two
     orientation conventions); a mismatch is reported as data, not
-    raised.  The tolerance is relative: an error counts up to
-    tolerance * max(1, |formula|), since the oracle's rounding error
-    grows with the size of the value.
+    raised.  The tolerance is relative: an error counts up to the
+    record's bound, tolerance * max(1, |formula|), since the oracle's
+    rounding error grows with the size of the value.  memo is passed to
+    so3_invariant.
     """
     kwargs = {} if bracket_signs is None else {"bracket_signs": bracket_signs}
     result = tau_prime(L, r, **kwargs)
     formula = result.value.to_complex()
-    oracle = so3_invariant(continued_fraction(L.p, L.q), r)
+    oracle = so3_invariant(continued_fraction(L.p, L.q), r, memo=memo)
     direct = abs(formula - oracle)
     conj = abs(formula.conjugate() - oracle)
     bound = tolerance * max(1.0, abs(formula))
@@ -243,7 +279,7 @@ def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
     else:
         match, err = "none", min(direct, conj)
     return VerifyRecord(L.p, L.q, r, result.branch_label(), match, err,
-                        formula, oracle, tolerance)
+                        formula, oracle, tolerance, bound)
 
 
 def lens_space_range(max_p: int):
@@ -257,9 +293,22 @@ def lens_space_range(max_p: int):
                 yield p, q
 
 
-def _verify_task(args: tuple[int, int, int, float]) -> VerifyRecord:
-    p, q, r, tolerance = args
-    return verify(make_lens_space(p, q), r, tolerance)
+def _verify_batch(tasks: list[tuple[int, int, int, float]]
+                  ) -> list[VerifyRecord]:
+    """verify each (p, q, r, tolerance) in order, r outermost.
+
+    One memo of contracted chain suffixes serves the consecutive tasks
+    of one order and is dropped when r changes; nothing outlives the
+    batch.
+    """
+    records = []
+    memo, memo_r = {}, None
+    for p, q, r, tolerance in tasks:
+        if r != memo_r:
+            memo, memo_r = {}, r
+        records.append(verify(make_lens_space(p, q), r, tolerance,
+                              memo=memo))
+    return records
 
 
 def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
@@ -268,8 +317,11 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
 
     Results are sorted by (p, q, r) regardless of worker scheduling.
     At most os.cpu_count() workers start, whatever jobs asks for.  Tasks
-    run with r outermost, so consecutive cases share the cached modular
-    data of their order.
+    run with r outermost and p ascending, so consecutive cases share the
+    cached modular data of their order and most chains start from a
+    tail contracted earlier in the batch.  With several workers the
+    tasks are dealt round-robin into one batch per worker, so the pool
+    sends one message each way per worker.
     """
     tasks = [(p, q, r, tolerance)
              for r in r_values for p, q in lens_space_range(max_p)]
@@ -277,10 +329,12 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        batches = [tasks[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_verify_task, tasks, chunksize=8))
+            records = [rec for batch in pool.map(_verify_batch, batches)
+                       for rec in batch]
     else:
-        records = [_verify_task(t) for t in tasks]
+        records = _verify_batch(tasks)
     return sorted(records, key=lambda rec: (rec.p, rec.q, rec.r))
 
 
@@ -300,7 +354,7 @@ def summarize(records: list[VerifyRecord]) -> dict:
         worst = max(worst, rec.abs_error)
         if rec.match != "none":
             # self-conjugate values are compatible with either kind
-            if abs(rec.formula_value.imag) > rec.tolerance:
+            if abs(rec.formula_value.imag) > rec.bound:
                 kinds.add(rec.match)
     consistent = match_counts["none"] == 0 and len(kinds) <= 1
     kind = next(iter(kinds)) if len(kinds) == 1 else "either"

@@ -6,7 +6,8 @@ import pytest
 
 from lenstau.errors import EvenInput, EvenModulus, NotCoprime
 from lenstau.lens_invariants import _twelve_s_times_p, make_lens_space
-from lenstau.number_theory import (bezout_pair, dedekind_sum,
+from lenstau.number_theory import (_twelve_dedekind, bezout_pair,
+                                   dedekind_sum,
                                    dedekind_sum_direct, epsilon, ext_gcd,
                                    jacobi_symbol, mod_inverse, rational_mod,
                                    sawtooth)
@@ -180,6 +181,18 @@ class TestDedekindSum:
             for q in range(p):
                 if math.gcd(q, p) == 1:
                     assert dedekind_sum(q, p) == dedekind_sum_direct(q, p)
+
+    def test_twelve_dedekind_integer_pair(self):
+        for p in range(1, 60):
+            for q in range(-p, 2 * p):
+                if math.gcd(q, p) == 1:
+                    num, den = _twelve_dedekind(q, p)
+                    assert type(num) is int and type(den) is int and den > 0
+                    assert Fraction(num, den) == 12 * dedekind_sum_direct(q, p)
+        with pytest.raises(NotCoprime):
+            _twelve_dedekind(2, 4)
+        with pytest.raises(ValueError):
+            _twelve_dedekind(1, 0)
 
     def test_reciprocity(self):
         for p in range(2, 80):

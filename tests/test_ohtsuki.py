@@ -193,8 +193,9 @@ class TestIntegerOhtsuki:
                 fraction_binomial(alpha, n_terms), n_terms
 
     def test_non_integral_twelve_s_times_p(self, monkeypatch):
-        monkeypatch.setattr(lens_invariants, "dedekind_sum",
-                            lambda q, p: Fraction(1, 7 * p))
+        # 12*s = 1/(7p), so 12*s*p = 1/7
+        monkeypatch.setattr(lens_invariants, "_twelve_dedekind",
+                            lambda q, p: (1, 7 * p))
         with pytest.raises(IntegralityFailure):
             ohtsuki_tau(make_lens_space(5, 2), 4)
 

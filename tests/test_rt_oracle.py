@@ -245,8 +245,10 @@ class TestVerify:
         rec = verify(make_lens_space(5, 1), 5)
         data = rec.to_dict()
         assert set(data) == {"p", "q", "r", "branch", "match", "abs_error",
-                             "formula_value", "oracle_value", "tolerance"}
+                             "formula_value", "oracle_value", "tolerance",
+                             "bound"}
         assert set(data["formula_value"]) == {"re", "im"}
+        assert data["bound"] == 1e-8 * max(1.0, abs(rec.formula_value))
 
     def test_sweep_and_summary(self):
         records = sweep_verify(8, [3, 5], tolerance=1e-8)
@@ -300,11 +302,94 @@ class TestVerify:
         assert rec.abs_error > 1e-8
         assert rec.match == "direct"
         assert rec.tolerance == 1e-8
+        assert rec.bound == 1e-8 * abs(rec.formula_value)
+        assert rec.tolerance < rec.abs_error <= rec.bound
 
     def test_inconsistent_summary_flags(self):
         records = sweep_verify(4, [5], tolerance=1e-30)
         summary = summarize(records)
         assert not summary["consistent"]
+
+
+class TestSweepMemo:
+    """A sweep shares contracted chain tails within one batch and order;
+    the values must be bit-equal to per-case contractions."""
+
+    @pytest.mark.parametrize("max_p, r_values", [
+        (30, [3, 5, 7, 9, 11, 13, 15]), (60, [101])])
+    def test_oracle_values_bit_equal_to_per_case(self, max_p, r_values):
+        records = sweep_verify(max_p, r_values, jobs=1)
+        assert len(records) == \
+            len(list(lens_space_range(max_p))) * len(r_values)
+        for rec in records:
+            direct = so3_invariant(continued_fraction(rec.p, rec.q), rec.r)
+            assert rec.oracle_value == direct, (rec.p, rec.q, rec.r)
+
+    def test_per_case_json_identical_across_jobs(self, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            assert cli.main(["verify", "--max-p", "30",
+                             "--r", "3,5,7,9,11,13,15", "--per-case",
+                             "--format", "json", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["cases"]) == 1946
+
+    def test_long_chain_is_not_recursive(self, monkeypatch):
+        # L(p, p - 1) is a chain of p - 1 twos; each chain's tail is the
+        # previous case, so the last two start from the memo
+        cases = [(1598, 1597), (1599, 1598), (1600, 1599)]
+        monkeypatch.setattr(rt_oracle, "lens_space_range",
+                            lambda max_p: iter(cases))
+        records = sweep_verify(1600, [3], jobs=1)
+        assert [(rec.p, rec.q) for rec in records] == cases
+        assert all(rec.match == "direct" for rec in records)
+        assert continued_fraction(1600, 1599).framings == (2,) * 1599
+        assert records[-1].oracle_value == \
+            so3_invariant(continued_fraction(1600, 1599), 3)
+
+    def test_memo_does_not_outlive_a_sweep(self, monkeypatch):
+        # a stand-in S counts the products S @ vec, one per contraction
+        # step that the memo did not supply
+        class CountingS:
+            products = 0
+
+            def __init__(self, s):
+                self.s = s
+
+            def __getitem__(self, key):
+                return self.s[key]
+
+            def __matmul__(self, vec):
+                CountingS.products += 1
+                return self.s @ vec
+
+        real = rt_oracle.so3_modular_data
+
+        def counting_data(r):
+            s, t, kappa = real(r)
+            return CountingS(s), t, kappa
+
+        monkeypatch.setattr(rt_oracle, "so3_modular_data", counting_data)
+        r_values = [3, 5, 7, 9]
+        steps = []
+        for _ in range(2):
+            CountingS.products = 0
+            sweep_verify(20, r_values, jobs=1)
+            steps.append(CountingS.products)
+        unshared = len(r_values) * sum(
+            max(len(continued_fraction(p, q)) - 1, 0)
+            for p, q in lens_space_range(20))
+        assert steps[0] == steps[1]
+        assert 0 < steps[0] < unshared / 2
+
+    def test_memo_holds_every_suffix(self):
+        memo = {}
+        pres = continued_fraction(7, 2)
+        first = so3_invariant(pres, 5, memo=memo)
+        assert set(memo) == {(4, 2), (2,)}
+        assert so3_invariant(pres, 5, memo=memo) == first
+        assert so3_invariant(pres, 5) == first
 
 
 class TestBracketSignStudy:
