@@ -233,21 +233,40 @@ def _gauss_quotient(r: int, c: int, scale: int, phase: int,
     return Cyclotomic(r, nums, r)
 
 
+def _build(memo: dict | None, builder, *args) -> Cyclotomic:
+    """builder(*args), or the value memo holds for these arguments."""
+    if memo is None:
+        return builder(*args)
+    key = (builder, *args)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = builder(*args)
+    return value
+
+
 def tau_prime(L: LensSpace, r: int,
               bracket_signs: tuple[int, int] = BRACKET_CALIBRATED,
-              bezout_shift: int = 0) -> TauPrimeResult:
+              bezout_shift: int = 0, *,
+              memo: dict | None = None) -> TauPrimeResult:
     """tau'_r(L(p,q)) for odd r > 1, with branch metadata.
 
     bezout_shift replaces the canonical Bezout pair (u', v') by
     (u' + k*(r/c), v' - k*(p/c)); the value must not depend on it.
+
+    memo, when given, is a dict the caller owns: the O(r) construction
+    of the value is looked up there by its full argument tuple and
+    stored on a miss, so cases with equal arguments share one value.
+    Branch, c, eta, the bracket exponent and every integrality check
+    are still computed for each call.
     """
     _check_order(r)
     p, q = L.p, L.q
     c = math.gcd(p, r)
     if c == 1:
         return TauPrimeResult(
-            _quantum_ratio(r, jacobi_symbol(p, r), -three_s_sqrt(L, r),
-                           mod_inverse(2, r), mod_inverse(p, r)),
+            _build(memo, _quantum_ratio, r, jacobi_symbol(p, r),
+                   -three_s_sqrt(L, r), mod_inverse(2, r),
+                   mod_inverse(p, r)),
             r, 1, CASE_ONE)
     eta = _branch_eta(L, c)
     if eta is None:
@@ -256,7 +275,8 @@ def tau_prime(L: LensSpace, r: int,
     k = _bracket_power_of_zeta_r(L, r, eta, bracket_signs, bezout_shift)
     sign = (-1) ** (((r - 1) // 2) * ((c - 1) // 2))
     jac = (jacobi_symbol(p // c, r // c) * jacobi_symbol(q * w, c))
-    value = _gauss_quotient(r, c, sign * jac * eta, k * w, mod_inverse(2, r))
+    value = _build(memo, _gauss_quotient, r, c, sign * jac * eta, k * w,
+                   mod_inverse(2, r))
     return TauPrimeResult(value, r, c, CASE_TWO, eta)
 
 

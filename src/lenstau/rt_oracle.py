@@ -23,18 +23,21 @@ match kind so an orientation flip cannot pass silently.
 
 Cost of a sweep: the chain of p/q is a_1 followed by the chain of
 q/(a_1*q - p), itself a case of the same sweep, so within one
-`sweep_verify` batch the oracle reuses the contracted chain tails of
-the current order (a memo dict owned by the batch, dropped when r
-changes).  No contraction is cached across calls; only the modular data
-of the last two orders are.  With `jobs` > 1 the cases are dealt
-round-robin into one batch per worker.
+`sweep_verify` batch the cases of one order share an `OrderMemo`,
+dropped when r changes: the oracle reuses contracted chain tails and
+takes each T^a from one table, and the closed formula builds each
+distinct value once and embeds it once.  Nothing is cached across
+calls except the modular data of the last two orders.  With `jobs` > 1
+the cases are dealt into one batch per worker by (r, last chain term
+a_m), which every tail of a chain shares, so no batch misses a tail
+that another batch contracted.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,13 +106,15 @@ def linking_matrix(framings: tuple[int, ...]) -> np.ndarray:
 def signature(framings: tuple[int, ...]) -> int:
     """Signature of the chain linking matrix.
 
-    Exact via the leading-principal-minor recurrence when no minor
-    vanishes (always true for canonical chains); numeric fallback
-    otherwise.
+    The leading principal minors obey d_k = a_k*d_(k-1) - d_(k-2) with
+    d_0 = 1, d_(-1) = 0.  When every a_k >= 2 they strictly increase, so
+    the matrix is positive definite and the signature is m: canonical
+    chains return at once.  Otherwise the signature is exact from the
+    sign changes of the minors when none vanishes, numeric when one does.
     """
     m = len(framings)
-    if m == 0:
-        return 0
+    if min(framings, default=2) >= 2:
+        return m
     minors = [1]
     d_prev2, d_prev = 0, 1
     for k, a in enumerate(framings):
@@ -172,31 +177,36 @@ def so3_modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
 
 
 def _contract(framings: tuple[int, ...], s: np.ndarray, t: np.ndarray,
-              kappa: complex, memo: dict | None = None) -> complex:
+              kappa: complex, memo: dict | None = None,
+              powers: dict | None = None) -> complex:
     """kappa^(-sigma) * (s0^T T^a1 S ... S T^am s0) / S_00.
 
     memo, when given, maps a chain suffix (a_k, ..., a_m) to its
     contracted vector T^a_k S ... S T^a_m s0 for these S and T.  The
     loop then starts from the longest suffix found there and stores
-    each new suffix; every vector is computed by the same operations in
-    the same order as without it, so the result is bit-identical.
+    each new suffix.  powers maps a framing a to T^a for this T; without
+    one, a fresh table serves this call.  Every vector is computed by the
+    same operations in the same order either way, so the result is
+    bit-identical.
     """
     if not framings:
         return 1.0 + 0j
+    if powers is None:
+        powers = {}
     vac = s[0]
-    vec = None                           # contracts framings[top:]
+    vec, top = None, len(framings)       # vec contracts framings[top:]
     if memo is not None:
-        for top in range(len(framings)):     # longest suffix first
-            vec = memo.get(framings[top:])
+        for start in range(len(framings)):     # longest suffix first
+            vec = memo.get(framings[start:])
             if vec is not None:
+                top = start
                 break
-    if vec is None:
-        top = len(framings) - 1
-        vec = t ** framings[top] * vac
-        if memo is not None:
-            memo[framings[top:]] = vec
     for k in range(top - 1, -1, -1):
-        vec = t ** framings[k] * (s @ vec)
+        a = framings[k]
+        t_a = powers.get(a)
+        if t_a is None:
+            t_a = powers[a] = t ** a
+        vec = t_a * (vac if vec is None else s @ vec)
         if memo is not None:
             memo[framings[k:]] = vec
     w = complex(vac @ vec)
@@ -211,16 +221,34 @@ def rt_invariant(pres: SurgeryPresentation, r: int) -> complex:
 
 
 def so3_invariant(pres: SurgeryPresentation, r: int, *,
-                  memo: dict | None = None) -> complex:
+                  memo: dict | None = None,
+                  powers: dict | None = None) -> complex:
     """The SO(3) invariant tau'_r (odd colors only), tau'_r(S^3) = 1.
 
-    memo is a dict of contracted chain suffixes for this r only (see
-    _contract); the caller owns it and drops it with its order.
+    memo is a dict of contracted chain suffixes and powers a dict of
+    T^a, both for this r only (see _contract); the caller owns them and
+    drops them with its order.
     """
     if r % 2 == 0:
         raise EvenOrder(f"so3_invariant needs odd r, got {r}")
     s, t, kappa = so3_modular_data(r)
-    return _contract(pres.framings, s, t, kappa, memo)
+    return _contract(pres.framings, s, t, kappa, memo, powers)
+
+
+@dataclass
+class OrderMemo:
+    """Work that the verify cases of one order share.
+
+    suffixes and powers are so3_invariant's memo and powers, values is
+    tau_prime's memo, and embeddings maps the reduced form (den, nums)
+    of a closed-form value to its to_complex().  Every entry holds for one r only: a sweep batch makes
+    one per order and drops it when r changes.
+    """
+
+    suffixes: dict = field(default_factory=dict)
+    powers: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+    embeddings: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -255,20 +283,28 @@ class VerifyRecord:
 
 def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
            bracket_signs: tuple[int, int] | None = None, *,
-           memo: dict | None = None) -> VerifyRecord:
+           memo: OrderMemo | None = None) -> VerifyRecord:
     """Compare the closed formula against the numeric oracle.
 
     Both the value and its complex conjugate are tested (the two
     orientation conventions); a mismatch is reported as data, not
     raised.  The tolerance is relative: an error counts up to the
     record's bound, tolerance * max(1, |formula|), since the oracle's
-    rounding error grows with the size of the value.  memo is passed to
-    so3_invariant.
+    rounding error grows with the size of the value.  memo, an
+    OrderMemo for this r, shares values, embeddings and contractions
+    with the other cases that use it; the record is the same without it.
     """
+    if memo is None:
+        memo = OrderMemo()
     kwargs = {} if bracket_signs is None else {"bracket_signs": bracket_signs}
-    result = tau_prime(L, r, **kwargs)
-    formula = result.value.to_complex()
-    oracle = so3_invariant(continued_fraction(L.p, L.q), r, memo=memo)
+    result = tau_prime(L, r, **kwargs, memo=memo.values)
+    # the reduced form (den, nums) identifies a value of this order
+    key = (result.value.den, result.value.nums)
+    formula = memo.embeddings.get(key)
+    if formula is None:
+        formula = memo.embeddings[key] = result.value.to_complex()
+    oracle = so3_invariant(continued_fraction(L.p, L.q), r,
+                           memo=memo.suffixes, powers=memo.powers)
     direct = abs(formula - oracle)
     conj = abs(formula.conjugate() - oracle)
     bound = tolerance * max(1.0, abs(formula))
@@ -293,19 +329,27 @@ def lens_space_range(max_p: int):
                 yield p, q
 
 
+def _last_term(p: int, q: int) -> int:
+    """a_m of the chain of p/q (0 for S^3).
+
+    The chain of p/q* with q*q = 1 mod p is the chain of p/q reversed,
+    so a_m is its first term, ceil(p/q*).
+    """
+    return -(-p // pow(q, -1, p)) if p > 1 else 0
+
+
 def _verify_batch(tasks: list[tuple[int, int, int, float]]
                   ) -> list[VerifyRecord]:
     """verify each (p, q, r, tolerance) in order, r outermost.
 
-    One memo of contracted chain suffixes serves the consecutive tasks
-    of one order and is dropped when r changes; nothing outlives the
-    batch.
+    One OrderMemo serves the consecutive tasks of one order and is
+    dropped when r changes; nothing outlives the batch.
     """
     records = []
-    memo, memo_r = {}, None
+    memo, memo_r = None, None
     for p, q, r, tolerance in tasks:
         if r != memo_r:
-            memo, memo_r = {}, r
+            memo, memo_r = OrderMemo(), r
         records.append(verify(make_lens_space(p, q), r, tolerance,
                               memo=memo))
     return records
@@ -320,7 +364,9 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
     run with r outermost and p ascending, so consecutive cases share the
     cached modular data of their order and most chains start from a
     tail contracted earlier in the batch.  With several workers the
-    tasks are dealt round-robin into one batch per worker, so the pool
+    tasks are grouped by (r, last chain term a_m), which a chain shares
+    with all its tails; the groups go, largest first, to the batch with
+    the fewest tasks, and each batch runs sorted by (r, p, q).  The pool
     sends one message each way per worker.
     """
     tasks = [(p, q, r, tolerance)
@@ -329,7 +375,15 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        batches = [tasks[i::jobs] for i in range(jobs)]
+        groups: dict[tuple[int, int], list] = {}
+        for task in tasks:
+            p, q, r, _ = task
+            groups.setdefault((r, _last_term(p, q)), []).append(task)
+        batches = [[] for _ in range(jobs)]
+        for group in sorted(groups.values(), key=len, reverse=True):
+            min(batches, key=len).extend(group)
+        for batch in batches:
+            batch.sort(key=lambda task: (task[2], task[0], task[1]))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = [rec for batch in pool.map(_verify_batch, batches)
                        for rec in batch]

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lenstau.lens_invariants import (make_lens_space, tau_prime,  # noqa: E402
                                      tau_prime_via_galois)
-from lenstau.rt_oracle import (SurgeryPresentation,  # noqa: E402
-                               continued_fraction, so3_invariant)
+from lenstau.rt_oracle import (OrderMemo, SurgeryPresentation,  # noqa: E402
+                               continued_fraction, so3_invariant, verify)
 
 EXAMPLES = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -63,3 +63,16 @@ def test_memoised_oracle_equals_direct(L, other, r):
         so3_invariant(SurgeryPresentation(pres.framings[1:]), r, memo=memo)
     assert so3_invariant(pres, r, memo=memo) == direct
     assert so3_invariant(pres, r, memo=memo) == direct
+
+
+@EXAMPLES
+@given(lens_spaces(), lens_spaces(), odd_orders)
+def test_memoised_verify_equals_direct(L, other, r):
+    direct = verify(L, r)
+    memo = OrderMemo()
+    verify(other, r, memo=memo)
+    # L(p, q*) is the same manifold: its closed-form value has the same
+    # arguments, so the memo supplies it
+    verify(make_lens_space(L.p, L.q_star), r, memo=memo)
+    assert verify(L, r, memo=memo) == direct
+    assert verify(L, r, memo=memo) == direct

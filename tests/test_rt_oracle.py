@@ -2,12 +2,13 @@ import concurrent.futures
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lenstau import cli, cyclotomic, rt_oracle
+from lenstau import cli, cyclotomic, lens_invariants, rt_oracle
 from lenstau.errors import EvenOrder, NotCoprime
 from lenstau.lens_invariants import make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
@@ -16,6 +17,62 @@ from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
                                modular_data, rt_invariant, signature,
                                so3_invariant, so3_modular_data, summarize,
                                sweep_verify, verify)
+
+
+class SerialPool:
+    """Stand-in pool: records its size and batches and maps in-process,
+    so no worker process starts whatever jobs asks for."""
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        self.batches[:] = iterable
+        return map(fn, self.batches)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    monkeypatch.setattr(SerialPool, "started", [], raising=False)
+    monkeypatch.setattr(SerialPool, "batches", [], raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    return SerialPool
+
+
+class CountingS:
+    """Stand-in S that counts the products S @ vec, one per contraction
+    step that no memo supplied."""
+
+    products = 0
+
+    def __init__(self, s):
+        self.s = s
+
+    def __getitem__(self, key):
+        return self.s[key]
+
+    def __matmul__(self, vec):
+        CountingS.products += 1
+        return self.s @ vec
+
+
+@pytest.fixture
+def counting_s(monkeypatch):
+    real = rt_oracle.so3_modular_data
+
+    def counting_data(r):
+        s, t, kappa = real(r)
+        return CountingS(s), t, kappa
+
+    monkeypatch.setattr(rt_oracle, "so3_modular_data", counting_data)
+    return CountingS
 
 
 class TestContinuedFraction:
@@ -40,6 +97,14 @@ class TestContinuedFraction:
         with pytest.raises(NotCoprime):
             continued_fraction(6, 3)
 
+    def test_last_term(self):
+        # the chain of p/q* is the chain of p/q reversed
+        assert rt_oracle._last_term(1, 0) == 0
+        for p, q in lens_space_range(60):
+            if p > 1:
+                assert rt_oracle._last_term(p, q) == \
+                    continued_fraction(p, q).framings[-1], (p, q)
+
 
 class TestSignature:
     def test_canonical_chains_positive_definite(self):
@@ -55,6 +120,21 @@ class TestSignature:
 
     def test_empty(self):
         assert signature(()) == 0
+
+    @pytest.mark.parametrize("low, high", [(2, 9), (-2, 3)])
+    def test_random_chains_match_eigenvalue_count(self, low, high):
+        # (2, 9): every term >= 2, the positive definite shortcut;
+        # (-2, 3): each chain gets a term below 2, and small terms make
+        # vanishing minors common
+        rng = random.Random(low)
+        for _ in range(300):
+            framings = [rng.randint(low, high)
+                        for _ in range(rng.randint(1, 12))]
+            if low < 2:
+                framings[rng.randrange(len(framings))] = rng.randint(low, 1)
+            eigs = np.linalg.eigvalsh(linking_matrix(tuple(framings)))
+            expected = int(np.sum(eigs > 1e-9) - np.sum(eigs < -1e-9))
+            assert signature(tuple(framings)) == expected, framings
 
 
 class TestModularData:
@@ -265,33 +345,15 @@ class TestVerify:
         assert [(r.p, r.q, r.r, r.match) for r in serial] == \
             [(r.p, r.q, r.r, r.match) for r in parallel]
 
-    def test_sweep_workers_capped_at_cpu_count(self, monkeypatch):
-        # a stand-in pool records its size and maps in-process, so no
-        # worker process starts whatever jobs asks for
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SerialPool)
+    def test_sweep_workers_capped_at_cpu_count(self, monkeypatch,
+                                               serial_pool):
         serial = sweep_verify(3, [3, 5], jobs=1)
         for cpus, jobs, pools in [(3, 10 ** 9, [3]), (3, 2, [2]),
                                   (1, 64, []), (None, 64, [])]:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            started.clear()
+            serial_pool.started.clear()
             assert sweep_verify(3, [3, 5], jobs=jobs) == serial
-            assert started == pools, (cpus, jobs)
+            assert serial_pool.started == pools, (cpus, jobs)
 
     @pytest.mark.parametrize("p, q", [(99, 1), (252, 181)])
     def test_tolerance_scales_with_value(self, p, q):
@@ -348,40 +410,66 @@ class TestSweepMemo:
         assert records[-1].oracle_value == \
             so3_invariant(continued_fraction(1600, 1599), 3)
 
-    def test_memo_does_not_outlive_a_sweep(self, monkeypatch):
-        # a stand-in S counts the products S @ vec, one per contraction
-        # step that the memo did not supply
-        class CountingS:
-            products = 0
-
-            def __init__(self, s):
-                self.s = s
-
-            def __getitem__(self, key):
-                return self.s[key]
-
-            def __matmul__(self, vec):
-                CountingS.products += 1
-                return self.s @ vec
-
-        real = rt_oracle.so3_modular_data
-
-        def counting_data(r):
-            s, t, kappa = real(r)
-            return CountingS(s), t, kappa
-
-        monkeypatch.setattr(rt_oracle, "so3_modular_data", counting_data)
+    def test_memo_does_not_outlive_a_sweep(self, counting_s):
         r_values = [3, 5, 7, 9]
         steps = []
         for _ in range(2):
-            CountingS.products = 0
+            counting_s.products = 0
             sweep_verify(20, r_values, jobs=1)
-            steps.append(CountingS.products)
+            steps.append(counting_s.products)
         unshared = len(r_values) * sum(
             max(len(continued_fraction(p, q)) - 1, 0)
             for p, q in lens_space_range(20))
         assert steps[0] == steps[1]
         assert 0 < steps[0] < unshared / 2
+
+    def test_per_case_json_equals_memo_free_verify(self, monkeypatch,
+                                                   capsys):
+        argv = ["verify", "--max-p", "60", "--r",
+                "3,5,7,9,11,13,15,21,25,27,33,45,101", "--per-case",
+                "--format", "json", "--jobs", "1"]
+        assert cli.main(argv) == 0
+        shared = capsys.readouterr().out
+        monkeypatch.setattr(rt_oracle, "_verify_batch", lambda tasks: [
+            verify(make_lens_space(p, q), r, tolerance)
+            for p, q, r, tolerance in tasks])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == shared
+
+    def test_values_built_once_per_sweep(self, monkeypatch):
+        # counting stand-ins for the two O(r) builders of tau_prime
+        built = []
+        for name in ("_quantum_ratio", "_gauss_quotient"):
+            def counting(*args, _real=getattr(lens_invariants, name)):
+                built.append((_real, args))
+                return _real(*args)
+            monkeypatch.setattr(lens_invariants, name, counting)
+        r_values = [3, 5, 7, 9, 15, 21]
+        counts = []
+        for _ in range(2):
+            built.clear()
+            records = sweep_verify(30, r_values, jobs=1)
+            counts.append(len(built))
+            assert len(set(built)) == len(built)
+        nonzero = sum(rec.branch != "Zero" for rec in records)
+        assert counts[0] == counts[1]
+        assert 0 < counts[0] < nonzero / 2
+
+    def test_two_batches_contract_as_one(self, monkeypatch, counting_s,
+                                         serial_pool):
+        # cases dealt by (r, a_m) keep every tail of a chain in its batch
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        r_values = [3, 5, 7, 9, 11, 13, 15]
+        steps = []
+        for jobs in (1, 2):
+            counting_s.products = 0
+            records = sweep_verify(30, r_values, jobs=jobs)
+            steps.append(counting_s.products)
+        assert steps[0] == steps[1] > 0
+        assert len(records) == 1946
+        assert [len(batch) for batch in serial_pool.batches] == [973, 973]
+        for batch in serial_pool.batches:
+            assert batch == sorted(batch, key=lambda t: (t[2], t[0], t[1]))
 
     def test_memo_holds_every_suffix(self):
         memo = {}
