@@ -24,6 +24,7 @@ from . import lens_invariants as li
 from . import ohtsuki as oh
 from . import rt_oracle as rt
 from .cyclotomic import Cyclotomic, gauss_sum
+from .errors import EvenOrder, OrderOne
 from .number_theory import dedekind_sum, jacobi_symbol
 
 EMBED_TOL = 1e-12  # double-precision embedding error bound at desk scale
@@ -93,8 +94,10 @@ def _parse_r_list(text: str) -> list[int]:
     if not values:
         raise ValueError("empty r list")
     for r in values:
-        if r % 2 == 0 or r <= 1:
-            raise ValueError(f"r must be odd and > 1, got {r}")
+        if r % 2 == 0:
+            raise EvenOrder(f"r must be odd and > 1, got {r}")
+        if r <= 1:
+            raise OrderOne(f"r must be odd and > 1, got {r}")
     return values
 
 
@@ -299,7 +302,9 @@ def build_parser() -> _Parser:
                    help="relative bound: a case matches when "
                         "|formula - oracle| <= tolerance * max(1, |formula|)")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes, at most the CPU count "
+                   help="worker processes, each running whole orders: at "
+                        "most the CPU count and one per order, and a "
+                        "one-order sweep runs in-process "
                         "(default: available parallelism)")
     p.add_argument("--per-case", action="store_true")
     p.add_argument("--sign-study", action="store_true",

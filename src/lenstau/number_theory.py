@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import EvenInput, EvenModulus, NotCoprime
+from .errors import EvenInput, EvenModulus, NonPositiveP, NotCoprime
 
 Rational = Fraction
 
@@ -154,6 +154,6 @@ def _twelve_dedekind(q: int, p: int) -> tuple[int, int]:
 
 def _check_dedekind_args(q: int, p: int) -> None:
     if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+        raise NonPositiveP(f"p must be positive, got {p}")
     if math.gcd(q, p) != 1:
         raise NotCoprime(f"gcd({q}, {p}) != 1")

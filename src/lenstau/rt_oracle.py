@@ -22,15 +22,14 @@ directly (not up to conjugation); `verify` nevertheless reports the
 match kind so an orientation flip cannot pass silently.
 
 Cost of a sweep: the chain of p/q is a_1 followed by the chain of
-q/(a_1*q - p), itself a case of the same sweep, so within one
-`sweep_verify` batch the cases of one order share an `OrderMemo`,
-dropped when r changes: the oracle reuses contracted chain tails and
-takes each T^a from one table, and the closed formula builds each
-distinct value once and embeds it once.  Nothing is cached across
-calls except the modular data of the last two orders.  With `jobs` > 1
-the cases are dealt into one batch per worker by (r, last chain term
-a_m), which every tail of a chain shares, so no batch misses a tail
-that another batch contracted.
+q/(a_1*q - p), itself a case of the same order with a smaller p.  One
+order is one unit of `sweep_verify` work: its cases run p ascending and
+share one `OrderMemo`, so the oracle starts each chain from its tail,
+contracted by an earlier case, and takes each T^a from one table, and
+the closed formula builds each distinct value once and embeds it once.
+Nothing is cached across calls except the modular data of the last two
+orders.  With `jobs` > 1 each worker runs whole orders, so at most one
+worker per order starts, and a one-order sweep runs in-process.
 """
 
 from __future__ import annotations
@@ -39,13 +38,14 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .cyclotomic import _check_order
-from .errors import EvenOrder, NotCoprime
-from .lens_invariants import LensSpace, make_lens_space, tau_prime
+from .errors import EvenOrder, NonPositiveP, NotCoprime, OrderOne
+from .lens_invariants import (BRACKET_CALIBRATED, LensSpace, make_lens_space,
+                              tau_prime)
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,17 @@ def continued_fraction(p: int, q: int) -> SurgeryPresentation:
     p = 1 yields the empty presentation (S^3).
     """
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise NonPositiveP(f"p must be >= 1, got {p}")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) != 1")
     if p == 1:
         return SurgeryPresentation(())
-    q %= p
-    if not 0 < q < p:
-        raise ValueError(f"require 0 < q < p after reduction, got q = {q}")
+    q %= p  # 0 < q < p here and at every step, so every a >= 2
     terms = []
     while q > 0:
         a = -(-p // q)  # ceil(p/q)
         terms.append(a)
         p, q = q, a * q - p
-    if any(a < 2 for a in terms):
-        raise ValueError(f"continued fraction has a term below 2: {terms}")
     return SurgeryPresentation(tuple(terms))
 
 
@@ -171,7 +167,7 @@ def so3_modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
     if r % 2 == 0:
         raise EvenOrder(f"SO(3) data needs odd r, got {r}")
     if r < 3:
-        raise ValueError(f"r must be >= 3, got {r}")
+        raise OrderOne(f"r must be >= 3, got {r}")
     _check_order(r)
     return _modular_arrays(r, True)
 
@@ -183,8 +179,10 @@ def _contract(framings: tuple[int, ...], s: np.ndarray, t: np.ndarray,
 
     memo, when given, maps a chain suffix (a_k, ..., a_m) to its
     contracted vector T^a_k S ... S T^a_m s0 for these S and T.  The
-    loop then starts from the longest suffix found there and stores
-    each new suffix.  powers maps a framing a to T^a for this T; without
+    loop starts from the chain itself or its tail framings[1:] when memo
+    holds one, else contracts in full, and stores each new suffix.  A
+    sweep runs the cases of one order p ascending, so every tail is an
+    earlier case.  powers maps a framing a to T^a for this T; without
     one, a fresh table serves this call.  Every vector is computed by the
     same operations in the same order either way, so the result is
     bit-identical.
@@ -196,7 +194,7 @@ def _contract(framings: tuple[int, ...], s: np.ndarray, t: np.ndarray,
     vac = s[0]
     vec, top = None, len(framings)       # vec contracts framings[top:]
     if memo is not None:
-        for start in range(len(framings)):     # longest suffix first
+        for start in (0, 1):
             vec = memo.get(framings[start:])
             if vec is not None:
                 top = start
@@ -229,8 +227,6 @@ def so3_invariant(pres: SurgeryPresentation, r: int, *,
     T^a, both for this r only (see _contract); the caller owns them and
     drops them with its order.
     """
-    if r % 2 == 0:
-        raise EvenOrder(f"so3_invariant needs odd r, got {r}")
     s, t, kappa = so3_modular_data(r)
     return _contract(pres.framings, s, t, kappa, memo, powers)
 
@@ -241,8 +237,9 @@ class OrderMemo:
 
     suffixes and powers are so3_invariant's memo and powers, values is
     tau_prime's memo, and embeddings maps the reduced form (den, nums)
-    of a closed-form value to its to_complex().  Every entry holds for one r only: a sweep batch makes
-    one per order and drops it when r changes.
+    of a closed-form value to its to_complex().  Every entry holds for
+    one r only: a sweep makes one per order, its unit of work, and drops
+    it with the order.
     """
 
     suffixes: dict = field(default_factory=dict)
@@ -282,7 +279,7 @@ class VerifyRecord:
 
 
 def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
-           bracket_signs: tuple[int, int] | None = None, *,
+           bracket_signs: tuple[int, int] = BRACKET_CALIBRATED, *,
            memo: OrderMemo | None = None) -> VerifyRecord:
     """Compare the closed formula against the numeric oracle.
 
@@ -296,8 +293,7 @@ def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
     """
     if memo is None:
         memo = OrderMemo()
-    kwargs = {} if bracket_signs is None else {"bracket_signs": bracket_signs}
-    result = tau_prime(L, r, **kwargs, memo=memo.values)
+    result = tau_prime(L, r, bracket_signs, memo=memo.values)
     # the reduced form (den, nums) identifies a value of this order
     key = (result.value.den, result.value.nums)
     formula = memo.embeddings.get(key)
@@ -329,66 +325,38 @@ def lens_space_range(max_p: int):
                 yield p, q
 
 
-def _last_term(p: int, q: int) -> int:
-    """a_m of the chain of p/q (0 for S^3).
-
-    The chain of p/q* with q*q = 1 mod p is the chain of p/q reversed,
-    so a_m is its first term, ceil(p/q*).
-    """
-    return -(-p // pow(q, -1, p)) if p > 1 else 0
-
-
-def _verify_batch(tasks: list[tuple[int, int, int, float]]
+def _verify_order(r: int, max_p: int, tolerance: float
                   ) -> list[VerifyRecord]:
-    """verify each (p, q, r, tolerance) in order, r outermost.
+    """verify every lens_space_range(max_p) case at order r, p ascending.
 
-    One OrderMemo serves the consecutive tasks of one order and is
-    dropped when r changes; nothing outlives the batch.
+    The cases share one OrderMemo, so each chain's tail is an earlier
+    case; nothing outlives the call.
     """
-    records = []
-    memo, memo_r = None, None
-    for p, q, r, tolerance in tasks:
-        if r != memo_r:
-            memo, memo_r = OrderMemo(), r
-        records.append(verify(make_lens_space(p, q), r, tolerance,
-                              memo=memo))
-    return records
+    memo = OrderMemo()
+    return [verify(make_lens_space(p, q), r, tolerance, memo=memo)
+            for p, q in lens_space_range(max_p)]
 
 
 def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
                  jobs: int = 1) -> list[VerifyRecord]:
     """Run verify over every coprime (p, q), p <= max_p, for each r.
 
+    One order is one unit of work (_verify_order).  With jobs > 1 a pool
+    of min(jobs, os.cpu_count(), len(r_values)) workers maps the orders,
+    largest (costliest) first, one message each way per order: at most
+    one worker per order starts, and a one-order sweep runs in-process.
     Results are sorted by (p, q, r) regardless of worker scheduling.
-    At most os.cpu_count() workers start, whatever jobs asks for.  Tasks
-    run with r outermost and p ascending, so consecutive cases share the
-    cached modular data of their order and most chains start from a
-    tail contracted earlier in the batch.  With several workers the
-    tasks are grouped by (r, last chain term a_m), which a chain shares
-    with all its tails; the groups go, largest first, to the batch with
-    the fewest tasks, and each batch runs sorted by (r, p, q).  The pool
-    sends one message each way per worker.
     """
-    tasks = [(p, q, r, tolerance)
-             for r in r_values for p, q in lens_space_range(max_p)]
-    jobs = min(jobs, os.cpu_count() or 1)
+    run = partial(_verify_order, max_p=max_p, tolerance=tolerance)
+    jobs = min(jobs, os.cpu_count() or 1, len(r_values))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        groups: dict[tuple[int, int], list] = {}
-        for task in tasks:
-            p, q, r, _ = task
-            groups.setdefault((r, _last_term(p, q)), []).append(task)
-        batches = [[] for _ in range(jobs)]
-        for group in sorted(groups.values(), key=len, reverse=True):
-            min(batches, key=len).extend(group)
-        for batch in batches:
-            batch.sort(key=lambda task: (task[2], task[0], task[1]))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = [rec for batch in pool.map(_verify_batch, batches)
-                       for rec in batch]
+            records = [rec for batch in pool.map(
+                run, sorted(r_values, reverse=True)) for rec in batch]
     else:
-        records = _verify_batch(tasks)
+        records = [rec for r in r_values for rec in run(r)]
     return sorted(records, key=lambda rec: (rec.p, rec.q, rec.r))
 
 

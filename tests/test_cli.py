@@ -4,8 +4,9 @@ import sys
 import pytest
 
 from lenstau import ohtsuki as oh
-from lenstau.cli import build_parser, main
+from lenstau.cli import _parse_r_list, build_parser, main
 from lenstau.cyclotomic import Cyclotomic, gauss_sum
+from lenstau.errors import EvenOrder, OrderOne
 from lenstau.lens_invariants import make_lens_space
 
 
@@ -288,6 +289,16 @@ class TestBadFlags:
                            "--r", "1")
         assert code == 1
         assert "exceed 1" in err
+
+    @pytest.mark.parametrize("text, error", [
+        ("3,4", EvenOrder), ("0", EvenOrder), ("5,1", OrderOne),
+        ("-1", OrderOne)])
+    def test_bad_r_list(self, capsys, text, error):
+        with pytest.raises(error, match="r must be odd and > 1"):
+            _parse_r_list(text)
+        code, _, err = run(capsys, "verify", "--max-p", "2", "--r", text)
+        assert code == 1
+        assert "r must be odd and > 1" in err
 
     def test_bad_tolerance(self, capsys):
         assert run(capsys, "verify", "--max-p", "2", "--r", "3",

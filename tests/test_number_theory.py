@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lenstau.errors import EvenInput, EvenModulus, NotCoprime
+from lenstau.errors import EvenInput, EvenModulus, NonPositiveP, NotCoprime
 from lenstau.lens_invariants import _twelve_s_times_p, make_lens_space
 from lenstau.number_theory import (_twelve_dedekind, bezout_pair,
                                    dedekind_sum,
@@ -193,6 +193,12 @@ class TestDedekindSum:
             _twelve_dedekind(2, 4)
         with pytest.raises(ValueError):
             _twelve_dedekind(1, 0)
+
+    def test_non_positive_p(self):
+        for fn in (dedekind_sum, dedekind_sum_direct, _twelve_dedekind):
+            for p in (0, -5):
+                with pytest.raises(NonPositiveP):
+                    fn(1, p)
 
     def test_reciprocity(self):
         for p in range(2, 80):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lenstau import cli, cyclotomic, lens_invariants, rt_oracle
-from lenstau.errors import EvenOrder, NotCoprime
+from lenstau.errors import EvenOrder, NonPositiveP, NotCoprime, OrderOne
 from lenstau.lens_invariants import make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
                                cf_value, continued_fraction,
@@ -20,8 +20,8 @@ from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
 
 
 class SerialPool:
-    """Stand-in pool: records its size and batches and maps in-process,
-    so no worker process starts whatever jobs asks for."""
+    """Stand-in pool: records its size and the tasks it maps, and maps
+    them in-process, so no worker process starts whatever jobs asks for."""
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
@@ -33,14 +33,14 @@ class SerialPool:
         return False
 
     def map(self, fn, iterable, chunksize=1):
-        self.batches[:] = iterable
-        return map(fn, self.batches)
+        self.tasks[:] = iterable
+        return map(fn, self.tasks)
 
 
 @pytest.fixture
 def serial_pool(monkeypatch):
     monkeypatch.setattr(SerialPool, "started", [], raising=False)
-    monkeypatch.setattr(SerialPool, "batches", [], raising=False)
+    monkeypatch.setattr(SerialPool, "tasks", [], raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         SerialPool)
     return SerialPool
@@ -97,13 +97,10 @@ class TestContinuedFraction:
         with pytest.raises(NotCoprime):
             continued_fraction(6, 3)
 
-    def test_last_term(self):
-        # the chain of p/q* is the chain of p/q reversed
-        assert rt_oracle._last_term(1, 0) == 0
-        for p, q in lens_space_range(60):
-            if p > 1:
-                assert rt_oracle._last_term(p, q) == \
-                    continued_fraction(p, q).framings[-1], (p, q)
+    def test_non_positive_p(self):
+        for p in (0, -3):
+            with pytest.raises(NonPositiveP):
+                continued_fraction(p, 1)
 
 
 class TestSignature:
@@ -168,6 +165,11 @@ class TestModularData:
     def test_so3_needs_odd(self):
         with pytest.raises(EvenOrder):
             so3_modular_data(6)
+
+    def test_so3_order_one(self):
+        for r in (1, -1):
+            with pytest.raises(OrderOne):
+                so3_modular_data(r)
 
 
 class TestModularDataCache:
@@ -347,13 +349,24 @@ class TestVerify:
 
     def test_sweep_workers_capped_at_cpu_count(self, monkeypatch,
                                                serial_pool):
-        serial = sweep_verify(3, [3, 5], jobs=1)
+        # four orders, so the CPU count and not the order count binds
+        r_values = [3, 5, 7, 9]
+        serial = sweep_verify(3, r_values, jobs=1)
         for cpus, jobs, pools in [(3, 10 ** 9, [3]), (3, 2, [2]),
                                   (1, 64, []), (None, 64, [])]:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             serial_pool.started.clear()
-            assert sweep_verify(3, [3, 5], jobs=jobs) == serial
+            assert sweep_verify(3, r_values, jobs=jobs) == serial
             assert serial_pool.started == pools, (cpus, jobs)
+
+    def test_sweep_workers_capped_at_order_count(self, monkeypatch,
+                                                 serial_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for r_values, pools in [([3, 5, 7, 9], [4]), ([5], [])]:
+            serial = sweep_verify(3, r_values, jobs=1)
+            serial_pool.started.clear()
+            assert sweep_verify(3, r_values, jobs=64) == serial
+            assert serial_pool.started == pools, r_values
 
     @pytest.mark.parametrize("p, q", [(99, 1), (252, 181)])
     def test_tolerance_scales_with_value(self, p, q):
@@ -374,8 +387,8 @@ class TestVerify:
 
 
 class TestSweepMemo:
-    """A sweep shares contracted chain tails within one batch and order;
-    the values must be bit-equal to per-case contractions."""
+    """A sweep shares contracted chain tails within one order; the values
+    must be bit-equal to per-case contractions."""
 
     @pytest.mark.parametrize("max_p, r_values", [
         (30, [3, 5, 7, 9, 11, 13, 15]), (60, [101])])
@@ -430,9 +443,10 @@ class TestSweepMemo:
                 "--format", "json", "--jobs", "1"]
         assert cli.main(argv) == 0
         shared = capsys.readouterr().out
-        monkeypatch.setattr(rt_oracle, "_verify_batch", lambda tasks: [
-            verify(make_lens_space(p, q), r, tolerance)
-            for p, q, r, tolerance in tasks])
+        monkeypatch.setattr(
+            rt_oracle, "_verify_order", lambda r, max_p, tolerance: [
+                verify(make_lens_space(p, q), r, tolerance)
+                for p, q in lens_space_range(max_p)])
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == shared
 
@@ -457,9 +471,9 @@ class TestSweepMemo:
 
     def test_two_batches_contract_as_one(self, monkeypatch, counting_s,
                                          serial_pool):
-        # cases dealt by (r, a_m) keep every tail of a chain in its batch
+        # one order is one task, so every tail of a chain stays with it
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        r_values = [3, 5, 7, 9, 11, 13, 15]
+        r_values = [9, 3, 15, 5, 13, 7, 11]
         steps = []
         for jobs in (1, 2):
             counting_s.products = 0
@@ -467,9 +481,8 @@ class TestSweepMemo:
             steps.append(counting_s.products)
         assert steps[0] == steps[1] > 0
         assert len(records) == 1946
-        assert [len(batch) for batch in serial_pool.batches] == [973, 973]
-        for batch in serial_pool.batches:
-            assert batch == sorted(batch, key=lambda t: (t[2], t[0], t[1]))
+        assert serial_pool.started == [2]
+        assert serial_pool.tasks == [15, 13, 11, 9, 7, 5, 3]
 
     def test_memo_holds_every_suffix(self):
         memo = {}
