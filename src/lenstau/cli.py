@@ -24,7 +24,7 @@ from . import lens_invariants as li
 from . import ohtsuki as oh
 from . import rt_oracle as rt
 from .cyclotomic import Cyclotomic, gauss_sum
-from .errors import EvenOrder, OrderOne
+from .errors import EvenOrder, InvalidOption, OrderOne
 from .number_theory import dedekind_sum, jacobi_symbol
 
 EMBED_TOL = 1e-12  # double-precision embedding error bound at desk scale
@@ -90,9 +90,9 @@ def _parse_r_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"cannot parse r list {text!r}")
+        raise InvalidOption(f"cannot parse r list {text!r}")
     if not values:
-        raise ValueError("empty r list")
+        raise InvalidOption("empty r list")
     for r in values:
         if r % 2 == 0:
             raise EvenOrder(f"r must be odd and > 1, got {r}")
@@ -207,11 +207,11 @@ _CONVENTION_NOTE = (
 
 def cmd_verify(args) -> int:
     if args.max_p < 1:
-        raise ValueError(f"--max-p must be >= 1, got {args.max_p}")
+        raise InvalidOption(f"--max-p must be >= 1, got {args.max_p}")
     if not args.tolerance > 0:
-        raise ValueError("--tolerance must be positive")
+        raise InvalidOption("--tolerance must be positive")
     if args.jobs < 0:
-        raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
+        raise InvalidOption(f"--jobs must be >= 0, got {args.jobs}")
     r_values = _parse_r_list(args.r)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     records = rt.sweep_verify(args.max_p, r_values, args.tolerance, jobs=jobs)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import EvenInput, NotCoprime, NotInSubfield
+from .errors import EvenInput, NotCoprime, NotInSubfield, OrderOutOfRange
 
 # Largest supported conductor.  Exceeding it is a refused input, not a
 # silent degradation; callers may raise the limit for bigger sweeps.
@@ -32,9 +32,9 @@ _ONE = Fraction(1)
 
 def _check_order(n: int) -> None:
     if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+        raise OrderOutOfRange(f"order must be >= 1, got {n}")
     if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds MAX_ORDER = {MAX_ORDER}")
+        raise OrderOutOfRange(f"order {n} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -25,6 +25,22 @@ class NonPositiveP(ValueError):
     """Lens space parameter p must be a positive integer."""
 
 
+class NonPositiveModulus(ValueError):
+    """A modular inverse needs a positive modulus."""
+
+
+class OrderOutOfRange(ValueError):
+    """An order lies below its minimum or above MAX_ORDER."""
+
+
+class TermsOutOfRange(ValueError):
+    """A series length lies outside 1..MAX_TERMS."""
+
+
+class InvalidOption(ValueError):
+    """A command-line option has a value the command cannot use."""
+
+
 class NotInSubfield(ValueError):
     """Cyclotomic value does not lie in the requested subfield."""
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import EvenInput, EvenModulus, NonPositiveP, NotCoprime
+from .errors import (EvenInput, EvenModulus, NonPositiveModulus, NonPositiveP,
+                     NotCoprime)
 
 Rational = Fraction
 
@@ -42,7 +43,7 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n, in [0, n); requires gcd(a, n) = 1."""
     if n <= 0:
-        raise ValueError(f"modulus must be positive, got {n}")
+        raise NonPositiveModulus(f"modulus must be positive, got {n}")
     g = math.gcd(a, n)
     if g != 1:
         raise NotCoprime(f"{a} is not invertible mod {n} (gcd = {g})")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInvertible
+from .errors import NotInvertible, TermsOutOfRange
 from .lens_invariants import LensSpace, _twelve_s_times_p
 
 # Largest supported truncation.  The cost grows about as n_terms^3: the
@@ -124,9 +124,10 @@ class FormalSeries:
 def _check_terms(n_terms: int) -> None:
     """Refuse n_terms outside 1..MAX_TERMS before any O(n_terms) work."""
     if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+        raise TermsOutOfRange(f"n_terms must be >= 1, got {n_terms}")
     if n_terms > MAX_TERMS:
-        raise ValueError(f"n_terms {n_terms} exceeds MAX_TERMS = {MAX_TERMS}")
+        raise TermsOutOfRange(
+            f"n_terms {n_terms} exceeds MAX_TERMS = {MAX_TERMS}")
 
 
 def _falling_products(a: int, b: int, n: int) -> list[int]:

@@ -21,15 +21,17 @@ With these choices the oracle reproduces the exact tau'_r values
 directly (not up to conjugation); `verify` nevertheless reports the
 match kind so an orientation flip cannot pass silently.
 
-Cost of a sweep: the chain of p/q is a_1 followed by the chain of
-q/(a_1*q - p), itself a case of the same order with a smaller p.  One
-order is one unit of `sweep_verify` work: its cases run p ascending and
-share one `OrderMemo`, so the oracle starts each chain from its tail,
-contracted by an earlier case, and takes each T^a from one table, and
-the closed formula builds each distinct value once and embeds it once.
-Nothing is cached across calls except the modular data of the last two
-orders.  With `jobs` > 1 each worker runs whole orders, so at most one
-worker per order starts, and a one-order sweep runs in-process.
+Cost of a sweep: prepending a to the chain of p0/q0 gives the chain of
+(a*p0 - q0)/p0, so the cases with p <= max_p form a tree rooted at
+S^3 = L(1, 0), and every case is one contraction step from its parent.
+`_chain_walk` visits that tree depth first: one S times vector per
+parent, shared by all its children, and each T^a from one table.  One
+order is one unit of `sweep_verify` work: its cases share one
+`OrderMemo`, so the closed formula builds each distinct value once and
+embeds it once.  Nothing is cached across calls except the modular data
+of the last two orders.  With `jobs` > 1 each worker runs whole orders,
+so at most one worker per order starts, and a one-order sweep runs
+in-process.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .cyclotomic import _check_order
-from .errors import EvenOrder, NonPositiveP, NotCoprime, OrderOne
+from .errors import (EvenOrder, NonPositiveP, NotCoprime, OrderOne,
+                     OrderOutOfRange)
 from .lens_invariants import (BRACKET_CALIBRATED, LensSpace, make_lens_space,
                               tau_prime)
 
@@ -156,7 +159,7 @@ def modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
     the package's MAX_ORDER.  The arrays are cached and read-only.
     """
     if r < 3:
-        raise ValueError(f"r must be >= 3, got {r}")
+        raise OrderOutOfRange(f"r must be >= 3, got {r}")
     _check_order(r)
     return _modular_arrays(r, False)
 
@@ -173,40 +176,18 @@ def so3_modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
 
 
 def _contract(framings: tuple[int, ...], s: np.ndarray, t: np.ndarray,
-              kappa: complex, memo: dict | None = None,
-              powers: dict | None = None) -> complex:
+              kappa: complex) -> complex:
     """kappa^(-sigma) * (s0^T T^a1 S ... S T^am s0) / S_00.
 
-    memo, when given, maps a chain suffix (a_k, ..., a_m) to its
-    contracted vector T^a_k S ... S T^a_m s0 for these S and T.  The
-    loop starts from the chain itself or its tail framings[1:] when memo
-    holds one, else contracts in full, and stores each new suffix.  A
-    sweep runs the cases of one order p ascending, so every tail is an
-    earlier case.  powers maps a framing a to T^a for this T; without
-    one, a fresh table serves this call.  Every vector is computed by the
-    same operations in the same order either way, so the result is
-    bit-identical.
+    The vector is contracted from the last framing to the first in a
+    loop, so a long chain needs no recursion.
     """
     if not framings:
         return 1.0 + 0j
-    if powers is None:
-        powers = {}
     vac = s[0]
-    vec, top = None, len(framings)       # vec contracts framings[top:]
-    if memo is not None:
-        for start in (0, 1):
-            vec = memo.get(framings[start:])
-            if vec is not None:
-                top = start
-                break
-    for k in range(top - 1, -1, -1):
-        a = framings[k]
-        t_a = powers.get(a)
-        if t_a is None:
-            t_a = powers[a] = t ** a
-        vec = t_a * (vac if vec is None else s @ vec)
-        if memo is not None:
-            memo[framings[k:]] = vec
+    vec = None
+    for a in reversed(framings):
+        vec = t ** a * (vac if vec is None else s @ vec)
     w = complex(vac @ vec)
     return kappa ** (-signature(framings)) * w / s[0, 0]
 
@@ -218,32 +199,22 @@ def rt_invariant(pres: SurgeryPresentation, r: int) -> complex:
     return _contract(pres.framings, s, t, kappa)
 
 
-def so3_invariant(pres: SurgeryPresentation, r: int, *,
-                  memo: dict | None = None,
-                  powers: dict | None = None) -> complex:
-    """The SO(3) invariant tau'_r (odd colors only), tau'_r(S^3) = 1.
-
-    memo is a dict of contracted chain suffixes and powers a dict of
-    T^a, both for this r only (see _contract); the caller owns them and
-    drops them with its order.
-    """
+def so3_invariant(pres: SurgeryPresentation, r: int) -> complex:
+    """The SO(3) invariant tau'_r (odd colors only), tau'_r(S^3) = 1."""
     s, t, kappa = so3_modular_data(r)
-    return _contract(pres.framings, s, t, kappa, memo, powers)
+    return _contract(pres.framings, s, t, kappa)
 
 
 @dataclass
 class OrderMemo:
     """Work that the verify cases of one order share.
 
-    suffixes and powers are so3_invariant's memo and powers, values is
-    tau_prime's memo, and embeddings maps the reduced form (den, nums)
-    of a closed-form value to its to_complex().  Every entry holds for
-    one r only: a sweep makes one per order, its unit of work, and drops
-    it with the order.
+    values is tau_prime's memo, and embeddings maps the reduced form
+    (den, nums) of a closed-form value to its to_complex().  Every entry
+    holds for one r only: a sweep makes one per order, its unit of work,
+    and drops it with the order.
     """
 
-    suffixes: dict = field(default_factory=dict)
-    powers: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     embeddings: dict = field(default_factory=dict)
 
@@ -288,19 +259,24 @@ def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
     raised.  The tolerance is relative: an error counts up to the
     record's bound, tolerance * max(1, |formula|), since the oracle's
     rounding error grows with the size of the value.  memo, an
-    OrderMemo for this r, shares values, embeddings and contractions
-    with the other cases that use it; the record is the same without it.
+    OrderMemo for this r, shares values and embeddings with the other
+    cases that use it; the record is the same without it.
     """
-    if memo is None:
-        memo = OrderMemo()
+    oracle = so3_invariant(continued_fraction(L.p, L.q), r)
+    return _compare(L, r, oracle, tolerance, bracket_signs,
+                    OrderMemo() if memo is None else memo)
+
+
+def _compare(L: LensSpace, r: int, oracle: complex, tolerance: float,
+             bracket_signs: tuple[int, int], memo: OrderMemo
+             ) -> VerifyRecord:
+    """verify's record for the oracle value of L at order r."""
     result = tau_prime(L, r, bracket_signs, memo=memo.values)
     # the reduced form (den, nums) identifies a value of this order
     key = (result.value.den, result.value.nums)
     formula = memo.embeddings.get(key)
     if formula is None:
         formula = memo.embeddings[key] = result.value.to_complex()
-    oracle = so3_invariant(continued_fraction(L.p, L.q), r,
-                           memo=memo.suffixes, powers=memo.powers)
     direct = abs(formula - oracle)
     conj = abs(formula.conjugate() - oracle)
     bound = tolerance * max(1.0, abs(formula))
@@ -325,23 +301,62 @@ def lens_space_range(max_p: int):
                 yield p, q
 
 
+def _chain_walk(r: int, max_p: int):
+    """Yield (p, q, so3_invariant value) for every lens_space_range(max_p)
+    case at order r, depth first through the tree of chains.
+
+    The child a of a node (p0, q0), 2 <= a <= (max_p + q0) // p0, is the
+    case (a*p0 - q0, p0), whose chain is a followed by the node's.  The
+    root S^3 = L(1, 0) has the vacuum as its vector, so S times it is the
+    vacuum row s[0].  A node's S @ vec serves all its children; a child
+    costs T^a * (S @ vec) and one dot product, and its signature is its
+    depth m, as every a is >= 2.  These are so3_invariant's operations
+    in its order, so the values are bit-identical.  The stack holds only
+    nodes with children, and each case fetches the modular data once, as
+    so3_invariant does.
+    """
+    yield 1, 0, so3_invariant(SurgeryPresentation(()), r)
+    powers = {}                          # a -> T^a
+    stack = [(1, 0, None, 0)]            # (p0, q0, vec, m); None: vacuum
+    while stack:
+        p0, q0, vec, m = stack.pop()
+        shared = None
+        # a descending, so the smallest a is popped first
+        for a in range((max_p + q0) // p0, 1, -1):
+            s, t, kappa = so3_modular_data(r)
+            if shared is None:
+                vac, s00, scale = s[0], s[0, 0], kappa ** -(m + 1)
+                shared = vac if vec is None else s @ vec
+            t_a = powers.get(a)
+            if t_a is None:
+                t_a = powers[a] = t ** a
+            child = t_a * shared
+            p = a * p0 - q0
+            yield p, p0, scale * complex(vac @ child) / s00
+            if 2 * p - p0 <= max_p:
+                stack.append((p, p0, child, m + 1))
+
+
 def _verify_order(r: int, max_p: int, tolerance: float
                   ) -> list[VerifyRecord]:
-    """verify every lens_space_range(max_p) case at order r, p ascending.
+    """verify every lens_space_range(max_p) case at order r.
 
-    The cases share one OrderMemo, so each chain's tail is an earlier
-    case; nothing outlives the call.
+    The oracle values come from _chain_walk, in its order; the closed
+    formula side is verify's, and the cases share one OrderMemo.
+    Nothing outlives the call.
     """
     memo = OrderMemo()
-    return [verify(make_lens_space(p, q), r, tolerance, memo=memo)
-            for p, q in lens_space_range(max_p)]
+    return [_compare(make_lens_space(p, q), r, oracle, tolerance,
+                     BRACKET_CALIBRATED, memo)
+            for p, q, oracle in _chain_walk(r, max_p)]
 
 
 def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
                  jobs: int = 1) -> list[VerifyRecord]:
     """Run verify over every coprime (p, q), p <= max_p, for each r.
 
-    One order is one unit of work (_verify_order).  With jobs > 1 a pool
+    One order is one unit of work (_verify_order): one depth-first walk
+    of its chain tree, one contraction step per case.  With jobs > 1 a pool
     of min(jobs, os.cpu_count(), len(r_values)) workers maps the orders,
     largest (costliest) first, one message each way per order: at most
     one worker per order starts, and a one-order sweep runs in-process.

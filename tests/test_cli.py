@@ -6,7 +6,7 @@ import pytest
 from lenstau import ohtsuki as oh
 from lenstau.cli import _parse_r_list, build_parser, main
 from lenstau.cyclotomic import Cyclotomic, gauss_sum
-from lenstau.errors import EvenOrder, OrderOne
+from lenstau.errors import EvenOrder, InvalidOption, OrderOne
 from lenstau.lens_invariants import make_lens_space
 
 
@@ -303,6 +303,21 @@ class TestBadFlags:
     def test_bad_tolerance(self, capsys):
         assert run(capsys, "verify", "--max-p", "2", "--r", "3",
                    "--tolerance", "-1")[0] == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-p", "0", "--max-p must be >= 1"),
+        ("--tolerance", "0", "--tolerance must be positive"),
+        ("--jobs", "-1", "--jobs must be >= 0"),
+        ("--r", "3,x", "cannot parse r list"),
+        ("--r", ",", "empty r list")])
+    def test_invalid_verify_option(self, capsys, flag, value, message):
+        argv = ["verify", "--max-p", "2", "--r", "3", flag, value]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InvalidOption, match=message):
+            args.func(args)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert message in err
 
 
 class TestOneProcess:

@@ -8,7 +8,8 @@ import pytest
 import lenstau.cyclotomic as cyc
 from lenstau.cyclotomic import (Cyclotomic, cyclotomic_polynomial, degree,
                                 gauss_sum, root_of_unity)
-from lenstau.errors import EvenInput, NotCoprime, NotInSubfield
+from lenstau.errors import (EvenInput, NotCoprime, NotInSubfield,
+                            OrderOutOfRange)
 from lenstau.number_theory import jacobi_symbol
 
 
@@ -57,8 +58,12 @@ class TestRootOfUnity:
                 assert root_of_unity(n, k) == root_of_unity(n, k % n)
 
     def test_max_order_refused(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OrderOutOfRange, match="exceeds MAX_ORDER"):
             root_of_unity(cyc.MAX_ORDER + 1, 1)
+
+    def test_order_below_one_refused(self):
+        with pytest.raises(OrderOutOfRange, match="order must be >= 1"):
+            root_of_unity(0, 1)
 
 
 class TestSparseReduction:

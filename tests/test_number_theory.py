@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lenstau.errors import EvenInput, EvenModulus, NonPositiveP, NotCoprime
+from lenstau.errors import (EvenInput, EvenModulus, NonPositiveModulus,
+                            NonPositiveP, NotCoprime)
 from lenstau.lens_invariants import _twelve_s_times_p, make_lens_space
 from lenstau.number_theory import (_twelve_dedekind, bezout_pair,
                                    dedekind_sum,
@@ -74,6 +75,11 @@ class TestModInverse:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             mod_inverse(6, 9)
+
+    @pytest.mark.parametrize("n", [0, -7])
+    def test_non_positive_modulus(self, n):
+        with pytest.raises(NonPositiveModulus, match="must be positive"):
+            mod_inverse(3, n)
 
 
 class TestJacobi:

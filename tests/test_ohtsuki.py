@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lenstau import cli, lens_invariants, ohtsuki
-from lenstau.errors import IntegralityFailure, NotInvertible
+from lenstau.errors import IntegralityFailure, NotInvertible, TermsOutOfRange
 from lenstau.lens_invariants import make_lens_space, tau_prime
 from lenstau.number_theory import dedekind_sum, jacobi_symbol
 from lenstau.ohtsuki import FormalSeries, binomial_series, ohtsuki_tau
@@ -117,7 +117,7 @@ class TestOhtsukiTau:
         assert odd.coeffs[0] == Fraction(1, 5)
 
     def test_bad_terms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TermsOutOfRange, match="n_terms must be >= 1"):
             ohtsuki_tau(make_lens_space(2, 1), 0)
 
 
@@ -213,7 +213,7 @@ class TestTermsBound:
         monkeypatch.setattr(ohtsuki, "_falling_products", refuse)
         for fn, arg in ((ohtsuki_tau, make_lens_space(3, 1)),
                         (binomial_series, Fraction(1, 3))):
-            with pytest.raises(ValueError, match="MAX_TERMS"):
+            with pytest.raises(TermsOutOfRange, match="MAX_TERMS"):
                 fn(arg, 11)
             with pytest.raises(self.TermWork):
                 fn(arg, 10)

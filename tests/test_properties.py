@@ -11,10 +11,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from lenstau import rt_oracle  # noqa: E402
 from lenstau.lens_invariants import (make_lens_space, tau_prime,  # noqa: E402
                                      tau_prime_via_galois)
-from lenstau.rt_oracle import (OrderMemo, SurgeryPresentation,  # noqa: E402
-                               continued_fraction, so3_invariant, verify)
+from lenstau.rt_oracle import (OrderMemo, continued_fraction,  # noqa: E402
+                               lens_space_range, so3_invariant, verify)
 
 EXAMPLES = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -51,18 +52,61 @@ def test_homeomorphism_invariance(L, r):
     assert tau_prime(make_lens_space(L.p, L.q_star), r).value == value
 
 
+def walk_paths(max_p: int) -> dict:
+    """(p, q) -> the chain that the sweep's walk contracts for the case.
+
+    Under stand-in modular data a vector is the tuple of framings
+    contracted into it: T^a is (a,), S maps a vector to itself, the
+    vacuum row is (), and reading a case's value off its vector records
+    the vector.
+    """
+    read = []
+
+    class Path(tuple):
+        def __mul__(self, other):        # T^a * (S @ vec)
+            return Path(self + other)
+
+        def __matmul__(self, vec):       # vac @ vec
+            read.append(vec)
+            return 0
+
+    class S:
+        def __getitem__(self, key):      # s[0], or s[0, 0]
+            return Path() if key == 0 else 1.0
+
+        def __matmul__(self, vec):
+            return vec
+
+    class T:
+        def __pow__(self, a):
+            return Path((a,))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rt_oracle, "so3_modular_data", lambda r: (S(), T(), 1.0))
+        cases = [(p, q) for p, q, _ in rt_oracle._chain_walk(3, max_p)]
+    assert cases[0] == (1, 0)            # S^3 reads no vector
+    return dict(zip(cases[1:], read, strict=True))
+
+
+def test_walk_path_is_the_continued_fraction_to_60():
+    assert walk_paths(60) == {(p, q): continued_fraction(p, q).framings
+                              for p, q in lens_space_range(60) if p > 1}
+
+
 @EXAMPLES
-@given(lens_spaces(), lens_spaces(), odd_orders)
-def test_memoised_oracle_equals_direct(L, other, r):
-    pres = continued_fraction(L.p, L.q)
-    direct = so3_invariant(pres, r)
-    memo = {}
-    so3_invariant(continued_fraction(other.p, other.q), r, memo=memo)
-    if len(pres) > 1:
-        # the chain's tail is the chain of a smaller lens space
-        so3_invariant(SurgeryPresentation(pres.framings[1:]), r, memo=memo)
-    assert so3_invariant(pres, r, memo=memo) == direct
-    assert so3_invariant(pres, r, memo=memo) == direct
+@given(lens_spaces())
+def test_walk_path_is_the_continued_fraction(L):
+    # the tree walked depends on max_p, so walk to p itself
+    assert walk_paths(L.p).get((L.p, L.q), ()) == \
+        continued_fraction(L.p, L.q).framings
+
+
+@EXAMPLES
+@given(lens_spaces(), odd_orders)
+def test_walk_oracle_equals_direct(L, r):
+    walked = next(value for p, q, value in rt_oracle._chain_walk(r, L.p)
+                  if (p, q) == (L.p, L.q))
+    assert walked == so3_invariant(continued_fraction(L.p, L.q), r)
 
 
 @EXAMPLES

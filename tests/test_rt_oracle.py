@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from lenstau import cli, cyclotomic, lens_invariants, rt_oracle
-from lenstau.errors import EvenOrder, NonPositiveP, NotCoprime, OrderOne
+from lenstau.errors import (EvenOrder, NonPositiveP, NotCoprime, OrderOne,
+                            OrderOutOfRange)
 from lenstau.lens_invariants import make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
                                cf_value, continued_fraction,
@@ -48,7 +49,7 @@ def serial_pool(monkeypatch):
 
 class CountingS:
     """Stand-in S that counts the products S @ vec, one per contraction
-    step that no memo supplied."""
+    step that is not shared."""
 
     products = 0
 
@@ -182,6 +183,11 @@ class TestModularDataCache:
             with pytest.raises(ValueError):
                 array[0] = 0
         assert data(9) is not first
+
+    @pytest.mark.parametrize("r", [2, 1])
+    def test_order_below_three_refused(self, r):
+        with pytest.raises(OrderOutOfRange, match="r must be >= 3"):
+            modular_data(r)
 
     def test_sweep_builds_each_order_once(self):
         rt_oracle._modular_arrays.cache_clear()
@@ -387,8 +393,9 @@ class TestVerify:
 
 
 class TestSweepMemo:
-    """A sweep shares contracted chain tails within one order; the values
-    must be bit-equal to per-case contractions."""
+    """A sweep walks the chain tree of each order and shares its work
+    within the order; the values must be bit-equal to per-case
+    contractions."""
 
     @pytest.mark.parametrize("max_p, r_values", [
         (30, [3, 5, 7, 9, 11, 13, 15]), (60, [101])])
@@ -410,18 +417,17 @@ class TestSweepMemo:
         assert outputs[0] == outputs[1]
         assert len(json.loads(outputs[0])["cases"]) == 1946
 
-    def test_long_chain_is_not_recursive(self, monkeypatch):
-        # L(p, p - 1) is a chain of p - 1 twos; each chain's tail is the
-        # previous case, so the last two start from the memo
-        cases = [(1598, 1597), (1599, 1598), (1600, 1599)]
-        monkeypatch.setattr(rt_oracle, "lens_space_range",
-                            lambda max_p: iter(cases))
-        records = sweep_verify(1600, [3], jobs=1)
-        assert [(rec.p, rec.q) for rec in records] == cases
-        assert all(rec.match == "direct" for rec in records)
+    def test_long_chain_is_not_recursive(self):
+        # L(p, p - 1) is a chain of p - 1 twos.  The walk takes a = 2
+        # first, so it reaches L(1600, 1599), 1599 levels down, after
+        # about 12k of the 778k cases with p <= 1600
+        for p, q, value in rt_oracle._chain_walk(3, 1600):
+            if (p, q) == (1600, 1599):
+                break
+        else:
+            pytest.fail("the walk never reached L(1600, 1599)")
         assert continued_fraction(1600, 1599).framings == (2,) * 1599
-        assert records[-1].oracle_value == \
-            so3_invariant(continued_fraction(1600, 1599), 3)
+        assert value == so3_invariant(continued_fraction(1600, 1599), 3)
 
     def test_memo_does_not_outlive_a_sweep(self, counting_s):
         r_values = [3, 5, 7, 9]
@@ -484,13 +490,25 @@ class TestSweepMemo:
         assert serial_pool.started == [2]
         assert serial_pool.tasks == [15, 13, 11, 9, 7, 5, 3]
 
-    def test_memo_holds_every_suffix(self):
-        memo = {}
-        pres = continued_fraction(7, 2)
-        first = so3_invariant(pres, 5, memo=memo)
-        assert set(memo) == {(4, 2), (2,)}
-        assert so3_invariant(pres, 5, memo=memo) == first
-        assert so3_invariant(pres, 5) == first
+
+class TestChainWalk:
+    """The sweep's oracle walks the tree of chains from S^3 = L(1, 0)."""
+
+    @pytest.mark.parametrize("max_p", [1, 2, 30, 60])
+    def test_every_case_once(self, max_p):
+        cases = [(p, q) for p, q, _ in rt_oracle._chain_walk(3, max_p)]
+        assert len(set(cases)) == len(cases)
+        assert sorted(cases) == list(lens_space_range(max_p))
+
+    @pytest.mark.parametrize("max_p, r", [(30, 15), (60, 5)])
+    def test_one_product_per_parent(self, counting_s, max_p, r):
+        # S^3's children start from the vacuum row, which takes no product
+        tails = {continued_fraction(p, q).framings[1:]
+                 for p, q in lens_space_range(max_p)}
+        counting_s.products = 0
+        for _ in rt_oracle._chain_walk(r, max_p):
+            pass
+        assert counting_s.products == len(tails - {()}) > 0
 
 
 class TestBracketSignStudy:
