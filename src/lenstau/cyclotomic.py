@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import EvenInput, NotCoprime, NotInSubfield, OrderOutOfRange
+from .errors import (EvenInput, NotCoprime, NotInSubfield, OrderMismatch,
+                     OrderOutOfRange)
 
 # Largest supported conductor.  Exceeding it is a refused input, not a
 # silent degradation; callers may raise the limit for bigger sweeps.
@@ -128,7 +129,7 @@ def _common_denominator(coeffs: Sequence) -> tuple[list[int], int]:
 class Cyclotomic:
     """An exact element of Q(zeta_N) in canonical reduced form."""
 
-    __slots__ = ("order", "nums", "den")
+    __slots__ = ("order", "nums", "den", "_complex")
 
     def __init__(self, order: int, coeffs: Sequence[Fraction | int],
                  den: int = 1):
@@ -149,6 +150,7 @@ class Cyclotomic:
         self.order = order
         self.nums = nums
         self.den = den
+        self._complex = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -194,7 +196,7 @@ class Cyclotomic:
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
+            raise NotInSubfield(f"{self!r} is not rational")
         return Fraction(self.nums[0], self.den)
 
     # -- order changes ------------------------------------------------
@@ -204,7 +206,7 @@ class Cyclotomic:
         if order == self.order:
             return self
         if order % self.order != 0:
-            raise ValueError(f"{order} is not a multiple of {self.order}")
+            raise OrderMismatch(f"{order} is not a multiple of {self.order}")
         _check_order(order)
         step = order // self.order
         out = [0] * order
@@ -222,7 +224,7 @@ class Cyclotomic:
         """
         n = self.order
         if n % d != 0:
-            raise ValueError(f"{d} does not divide order {n}")
+            raise OrderMismatch(f"{d} does not divide order {n}")
         if d == n:
             return self
         sol = _solve_descend(n, d, self.nums)
@@ -337,13 +339,20 @@ class Cyclotomic:
     # -- numeric embedding ----------------------------------------------
 
     def to_complex(self) -> complex:
-        """Evaluate at z = exp(2*pi*i/N) in double precision."""
-        n, den = self.order, self.den
-        total = 0j
-        for i, c in enumerate(self.nums):
-            if c:
-                total += (c / den) * cmath.exp(2j * cmath.pi * i / n)
-        return total
+        """Evaluate at z = exp(2*pi*i/N) in double precision.
+
+        The value is stored on the object the first time, so a value
+        shared by many callers is embedded once; it is the same float
+        on every call.
+        """
+        if self._complex is None:
+            n, den = self.order, self.den
+            total = 0j
+            for i, c in enumerate(self.nums):
+                if c:
+                    total += (c / den) * cmath.exp(2j * cmath.pi * i / n)
+            self._complex = total
+        return self._complex
 
     # -- comparison and display ------------------------------------------
 
@@ -355,7 +364,27 @@ class Cyclotomic:
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self) -> int:
-        return hash((self.order, self.den, self.nums))
+        """Hash of the mean of the conjugates, Tr(x)/phi(N).
+
+        z^i has order m = N/gcd(N, i) and contributes mu(m)/phi(m) to the
+        mean.  The mean does not change under lift and equals x for a
+        rational x, so equal values hash alike, ints and Fractions too.
+        """
+        n = self.order
+        primes = _prime_factors(n)
+        mean = _ZERO
+        for i, c in enumerate(self.nums):
+            if c:
+                m = n // math.gcd(n, i)
+                mu, phi = 1, m
+                for p in primes:
+                    if m % p == 0:
+                        mu, phi = -mu, phi // p * (p - 1)
+                        if m % (p * p) == 0:
+                            mu = 0
+                if mu:
+                    mean += Fraction(mu * c, phi)
+        return hash(mean / self.den)
 
     def __str__(self) -> str:
         terms = []

@@ -45,6 +45,18 @@ class NotInSubfield(ValueError):
     """Cyclotomic value does not lie in the requested subfield."""
 
 
+class OrderMismatch(ValueError):
+    """A lift needs a multiple of the value's order, a descent a divisor."""
+
+
+class NotDivisible(ValueError):
+    """Power series does not vanish to the order a shift removes."""
+
+
+class EmptyChain(ValueError):
+    """A continued fraction needs at least one term."""
+
+
 class NotInvertible(ZeroDivisionError):
     """Power series denominator has no invertible unit part."""
 

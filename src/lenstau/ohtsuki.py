@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInvertible, TermsOutOfRange
+from .errors import NotDivisible, NotInvertible, TermsOutOfRange
 from .lens_invariants import LensSpace, _twelve_s_times_p
 
 # Largest supported truncation.  The cost grows about as n_terms^3: the
@@ -84,7 +84,7 @@ class FormalSeries:
     def shift_down(self, k: int) -> "FormalSeries":
         """Divide by h^k; the dropped coefficients must vanish."""
         if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by h^{k}")
+            raise NotDivisible(f"series is not divisible by h^{k}")
         return FormalSeries(self.coeffs[k:])
 
     def inverse(self) -> "FormalSeries":

@@ -26,27 +26,27 @@ Cost of a sweep: prepending a to the chain of p0/q0 gives the chain of
 S^3 = L(1, 0), and every case is one contraction step from its parent.
 `_chain_walk` visits that tree depth first: one S times vector per
 parent, shared by all its children, and each T^a from one table.  One
-order is one unit of `sweep_verify` work: its cases share one
-`OrderMemo`, so the closed formula builds each distinct value once and
-embeds it once.  Nothing is cached across calls except the modular data
-of the last two orders.  With `jobs` > 1 each worker runs whole orders,
-so at most one worker per order starts, and a one-order sweep runs
-in-process.
+order is one unit of `sweep_verify` work: its cases share one memo
+dict, so the closed formula builds each distinct value once, and the
+value stores its embedding the first time a case asks for it.  Nothing
+is cached across calls except the modular data of the last two orders.
+With `jobs` > 1 each worker runs whole orders, so at most one worker per
+order starts, and a one-order sweep runs in-process.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .cyclotomic import _check_order
-from .errors import (EvenOrder, NonPositiveP, NotCoprime, OrderOne,
-                     OrderOutOfRange)
+from .errors import (EmptyChain, EvenOrder, NonPositiveP, NotCoprime,
+                     OrderOne, OrderOutOfRange)
 from .lens_invariants import (BRACKET_CALIBRATED, LensSpace, make_lens_space,
                               tau_prime)
 
@@ -68,7 +68,7 @@ def cf_value(framings: tuple[int, ...] | list[int]) -> Fraction:
     for a in reversed(framings):
         value = Fraction(a) if value is None else a - 1 / value
     if value is None:
-        raise ValueError("empty continued fraction has no value")
+        raise EmptyChain("empty continued fraction has no value")
     return value
 
 
@@ -205,20 +205,6 @@ def so3_invariant(pres: SurgeryPresentation, r: int) -> complex:
     return _contract(pres.framings, s, t, kappa)
 
 
-@dataclass
-class OrderMemo:
-    """Work that the verify cases of one order share.
-
-    values is tau_prime's memo, and embeddings maps the reduced form
-    (den, nums) of a closed-form value to its to_complex().  Every entry
-    holds for one r only: a sweep makes one per order, its unit of work,
-    and drops it with the order.
-    """
-
-    values: dict = field(default_factory=dict)
-    embeddings: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class VerifyRecord:
     p: int
@@ -250,33 +236,33 @@ class VerifyRecord:
 
 
 def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
-           bracket_signs: tuple[int, int] = BRACKET_CALIBRATED, *,
-           memo: OrderMemo | None = None) -> VerifyRecord:
+           bracket_signs: tuple[int, int] = BRACKET_CALIBRATED
+           ) -> VerifyRecord:
     """Compare the closed formula against the numeric oracle.
 
     Both the value and its complex conjugate are tested (the two
     orientation conventions); a mismatch is reported as data, not
     raised.  The tolerance is relative: an error counts up to the
     record's bound, tolerance * max(1, |formula|), since the oracle's
-    rounding error grows with the size of the value.  memo, an
-    OrderMemo for this r, shares values and embeddings with the other
-    cases that use it; the record is the same without it.
+    rounding error grows with the size of the value.  The value is
+    built and embedded for this call alone; sweep_verify shares both
+    among the cases of an order.
     """
     oracle = so3_invariant(continued_fraction(L.p, L.q), r)
-    return _compare(L, r, oracle, tolerance, bracket_signs,
-                    OrderMemo() if memo is None else memo)
+    return _compare(L, r, oracle, tolerance, bracket_signs)
 
 
 def _compare(L: LensSpace, r: int, oracle: complex, tolerance: float,
-             bracket_signs: tuple[int, int], memo: OrderMemo
+             bracket_signs: tuple[int, int], memo: dict | None = None
              ) -> VerifyRecord:
-    """verify's record for the oracle value of L at order r."""
-    result = tau_prime(L, r, bracket_signs, memo=memo.values)
-    # the reduced form (den, nums) identifies a value of this order
-    key = (result.value.den, result.value.nums)
-    formula = memo.embeddings.get(key)
-    if formula is None:
-        formula = memo.embeddings[key] = result.value.to_complex()
+    """verify's record for the oracle value of L at order r.
+
+    memo is tau_prime's, a dict for this r only: cases that share it
+    share each closed-form value, and with it the embedding that the
+    value stores on first use.  The record is the same without it.
+    """
+    result = tau_prime(L, r, bracket_signs, memo=memo)
+    formula = result.value.to_complex()
     direct = abs(formula - oracle)
     conj = abs(formula.conjugate() - oracle)
     bound = tolerance * max(1.0, abs(formula))
@@ -342,10 +328,11 @@ def _verify_order(r: int, max_p: int, tolerance: float
     """verify every lens_space_range(max_p) case at order r.
 
     The oracle values come from _chain_walk, in its order; the closed
-    formula side is verify's, and the cases share one OrderMemo.
-    Nothing outlives the call.
+    formula side is verify's, and the cases share one tau_prime memo,
+    so each distinct value is built and embedded once.  Nothing outlives
+    the call.
     """
-    memo = OrderMemo()
+    memo = {}
     return [_compare(make_lens_space(p, q), r, oracle, tolerance,
                      BRACKET_CALIBRATED, memo)
             for p, q, oracle in _chain_walk(r, max_p)]

@@ -9,7 +9,7 @@ import lenstau.cyclotomic as cyc
 from lenstau.cyclotomic import (Cyclotomic, cyclotomic_polynomial, degree,
                                 gauss_sum, root_of_unity)
 from lenstau.errors import (EvenInput, NotCoprime, NotInSubfield,
-                            OrderOutOfRange)
+                            OrderMismatch, OrderOutOfRange)
 from lenstau.number_theory import jacobi_symbol
 
 
@@ -135,6 +135,24 @@ class TestIntegerCore:
         assert zero == Cyclotomic.zero(n) and hash(zero) == hash(
             Cyclotomic.zero(n))
 
+    def test_hash_agrees_with_equality_across_orders(self):
+        rng = random.Random(3)
+        for n, mult in [(1, 7), (3, 4), (4, 6), (6, 2), (8, 3), (9, 3),
+                        (12, 5), (15, 4)]:
+            for _ in range(5):
+                x = Cyclotomic(n, [Fraction(rng.randrange(-4, 5),
+                                            rng.randrange(1, 4))
+                                   for _ in range(degree(n))])
+                lifted = x.lift(n * mult)
+                assert lifted == x and hash(lifted) == hash(x), (n, mult)
+        a, b = root_of_unity(6, 1), -root_of_unity(3, 2)
+        assert a == b and len({a, b}) == 1
+        neg = Cyclotomic(5, [3], den=-6)
+        assert hash(neg) == hash(Fraction(-1, 2))
+        fifth = Cyclotomic.from_rational(1, 5)
+        assert fifth == 1 and hash(fifth) == hash(1)
+        assert len({fifth, 1, Fraction(1), Cyclotomic.from_rational(1)}) == 1
+
     def test_coeffs_is_a_read_only_fraction_view(self):
         x = Cyclotomic(7, [1, 2, 0, Fraction(1, 3)])
         assert x.coeffs == (1, 2, 0, Fraction(1, 3), 0, 0)
@@ -226,6 +244,31 @@ class TestEmbedding:
         assert abs(val - cmath.sqrt(-3)) < 1e-12
         assert Cyclotomic.zero(5).to_complex() == 0
 
+    def test_embedding_is_stored(self, monkeypatch):
+        class CountingCmath:
+            pi = cmath.pi
+            calls = 0
+
+            def exp(self, x):
+                CountingCmath.calls += 1
+                return cmath.exp(x)
+
+        monkeypatch.setattr(cyc, "cmath", CountingCmath())
+        x = Cyclotomic(15, [1, 0, Fraction(2, 3), -5])
+        first = x.to_complex()
+        assert CountingCmath.calls == sum(1 for c in x.nums if c)
+        assert x.to_complex() == first
+        assert CountingCmath.calls == sum(1 for c in x.nums if c)
+
+    def test_stored_embedding_equals_fresh(self):
+        rng = random.Random(7)
+        for n in (5, 12, 45, 891):
+            coeffs = [rng.randrange(-3, 4) for _ in range(degree(n))]
+            stored = Cyclotomic(n, coeffs, den=7)
+            stored.to_complex()
+            assert stored.to_complex() == Cyclotomic(n, coeffs,
+                                                     den=7).to_complex()
+
     def test_homomorphism(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -281,10 +324,15 @@ class TestLiftDescend:
             assert abs(x.to_complex() - lifted.to_complex()) < 1e-10
 
     def test_non_divisor_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OrderMismatch, match="does not divide order"):
             root_of_unity(10, 1).descend(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(OrderMismatch, match="is not a multiple of"):
             root_of_unity(10, 1).lift(15)
+
+    def test_as_rational_of_irrational(self):
+        assert Cyclotomic(7, [Fraction(2, 3)]).as_rational() == Fraction(2, 3)
+        with pytest.raises(NotInSubfield, match="is not rational"):
+            root_of_unity(7, 1).as_rational()
 
 
 class TestGaussSum:

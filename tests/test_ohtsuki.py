@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lenstau import cli, lens_invariants, ohtsuki
-from lenstau.errors import IntegralityFailure, NotInvertible, TermsOutOfRange
+from lenstau.errors import (IntegralityFailure, NotDivisible, NotInvertible,
+                            TermsOutOfRange)
 from lenstau.lens_invariants import make_lens_space, tau_prime
 from lenstau.number_theory import dedekind_sum, jacobi_symbol
 from lenstau.ohtsuki import FormalSeries, binomial_series, ohtsuki_tau
@@ -70,6 +71,10 @@ class TestSeriesOps:
             FormalSeries.from_list([1, 1, 1]).divide(zero)
         with pytest.raises(NotInvertible):
             zero.inverse()
+
+    def test_shift_down_not_divisible(self):
+        with pytest.raises(NotDivisible, match="not divisible by h"):
+            FormalSeries.from_list([0, 1, 1]).shift_down(2)
 
     def test_deeper_numerator_zero_ok(self):
         num = FormalSeries.from_list([0, 0, 1])  # h^2

@@ -12,9 +12,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lenstau import rt_oracle  # noqa: E402
-from lenstau.lens_invariants import (make_lens_space, tau_prime,  # noqa: E402
+from lenstau.lens_invariants import (BRACKET_CALIBRATED,  # noqa: E402
+                                     make_lens_space, tau_prime,
                                      tau_prime_via_galois)
-from lenstau.rt_oracle import (OrderMemo, continued_fraction,  # noqa: E402
+from lenstau.rt_oracle import (continued_fraction,  # noqa: E402
                                lens_space_range, so3_invariant, verify)
 
 EXAMPLES = settings(derandomize=True, max_examples=60, deadline=None)
@@ -113,10 +114,16 @@ def test_walk_oracle_equals_direct(L, r):
 @given(lens_spaces(), lens_spaces(), odd_orders)
 def test_memoised_verify_equals_direct(L, other, r):
     direct = verify(L, r)
-    memo = OrderMemo()
-    verify(other, r, memo=memo)
+    memo = {}
+
+    def shared(M):
+        oracle = so3_invariant(continued_fraction(M.p, M.q), r)
+        return rt_oracle._compare(M, r, oracle, 1e-8, BRACKET_CALIBRATED,
+                                  memo)
+
+    shared(other)
     # L(p, q*) is the same manifold: its closed-form value has the same
-    # arguments, so the memo supplies it
-    verify(make_lens_space(L.p, L.q_star), r, memo=memo)
-    assert verify(L, r, memo=memo) == direct
-    assert verify(L, r, memo=memo) == direct
+    # arguments, so the memo supplies it, embedding included
+    shared(make_lens_space(L.p, L.q_star))
+    assert shared(L) == direct
+    assert shared(L) == direct

@@ -1,3 +1,4 @@
+import cmath
 import concurrent.futures
 import json
 import math
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from lenstau import cli, cyclotomic, lens_invariants, rt_oracle
-from lenstau.errors import (EvenOrder, NonPositiveP, NotCoprime, OrderOne,
-                            OrderOutOfRange)
+from lenstau.errors import (EmptyChain, EvenOrder, NonPositiveP, NotCoprime,
+                            OrderOne, OrderOutOfRange)
 from lenstau.lens_invariants import make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
                                cf_value, continued_fraction,
@@ -102,6 +103,10 @@ class TestContinuedFraction:
         for p in (0, -3):
             with pytest.raises(NonPositiveP):
                 continued_fraction(p, 1)
+
+    def test_empty_chain_has_no_value(self):
+        with pytest.raises(EmptyChain, match="empty continued fraction"):
+            cf_value(())
 
 
 class TestSignature:
@@ -474,6 +479,35 @@ class TestSweepMemo:
         nonzero = sum(rec.branch != "Zero" for rec in records)
         assert counts[0] == counts[1]
         assert 0 < counts[0] < nonzero / 2
+
+    def test_values_embedded_once_per_sweep(self, monkeypatch):
+        # counting stand-ins for the two builders and for cmath.exp, which
+        # to_complex calls once per nonzero term
+        built = []
+        for name in ("_quantum_ratio", "_gauss_quotient"):
+            def counting(*args, _real=getattr(lens_invariants, name)):
+                built.append(_real(*args))
+                return built[-1]
+            monkeypatch.setattr(lens_invariants, name, counting)
+
+        class CountingCmath:
+            pi = cmath.pi
+            exps = 0
+
+            def exp(self, x):
+                CountingCmath.exps += 1
+                return cmath.exp(x)
+
+        monkeypatch.setattr(cyclotomic, "cmath", CountingCmath())
+        counts = []
+        for _ in range(2):
+            built.clear()
+            CountingCmath.exps = 0
+            sweep_verify(30, [3, 5, 7, 9, 15, 21], jobs=1)
+            counts.append(CountingCmath.exps)
+            assert CountingCmath.exps == sum(
+                sum(1 for c in value.nums if c) for value in built)
+        assert counts[0] == counts[1] > 0
 
     def test_two_batches_contract_as_one(self, monkeypatch, counting_s,
                                          serial_pool):
