@@ -8,6 +8,10 @@ byte-identical JSON.  main() may be called repeatedly in one process:
 every call reuses one parser, and plain text is rendered only for
 --format plain.
 
+Only cf, oracle and verify use the numeric oracle, so only they import
+`rt_oracle` (and with it numpy), on their first call; the exact
+commands never load numpy.
+
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
 
@@ -22,7 +26,6 @@ from fractions import Fraction
 
 from . import lens_invariants as li
 from . import ohtsuki as oh
-from . import rt_oracle as rt
 from .cyclotomic import Cyclotomic, gauss_sum
 from .errors import EvenOrder, InvalidOption, OrderOne
 from .number_theory import dedekind_sum, jacobi_symbol
@@ -172,6 +175,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_cf(args) -> int:
+    from . import rt_oracle as rt
     pres = rt.continued_fraction(args.p, args.q)
     record = {"p": args.p, "q": args.q, "framings": list(pres.framings)}
     _emit(record, args.format, lambda: [
@@ -181,6 +185,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import rt_oracle as rt
     pres = rt.continued_fraction(args.p, args.q)
     if args.kind == "so3":
         value = rt.so3_invariant(pres, args.r)
@@ -206,6 +211,7 @@ _CONVENTION_NOTE = (
 
 
 def cmd_verify(args) -> int:
+    from . import rt_oracle as rt
     if args.max_p < 1:
         raise InvalidOption(f"--max-p must be >= 1, got {args.max_p}")
     if not args.tolerance > 0:

@@ -32,6 +32,11 @@ value stores its embedding the first time a case asks for it.  Nothing
 is cached across calls except the modular data of the last two orders.
 With `jobs` > 1 each worker runs whole orders, so at most one worker per
 order starts, and a one-order sweep runs in-process.
+
+This is the only module that imports numpy.  Nothing on the exact path
+imports it: `lenstau` serves the oracle names through a module-level
+`__getattr__`, and the CLI imports this module inside cf, oracle and
+verify, so numpy loads on the first use of one of them.
 """
 
 from __future__ import annotations

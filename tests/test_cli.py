@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import lenstau
 from lenstau import ohtsuki as oh
 from lenstau.cli import _parse_r_list, build_parser, main
 from lenstau.cyclotomic import Cyclotomic, gauss_sum
@@ -339,3 +344,78 @@ class TestOneProcess:
             json.loads(out)
         with pytest.raises(Rendered):
             main(["gauss", "--c", "15"])
+
+
+def fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this lenstau, and
+    return its stdout."""
+    src = str(Path(lenstau.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+ORACLE_MODULES = "[m in sys.modules for m in ('numpy', 'lenstau.rt_oracle')]"
+
+
+class TestColdStart:
+    """The exact commands never import the numeric oracle or numpy."""
+
+    def test_exact_commands_load_no_numpy(self):
+        out = fresh_interpreter(f"""
+            import contextlib, io, json, sys
+            import lenstau, lenstau.cli
+            for argv in (["tau-prime", "--p", "252", "--q", "181", "--r", "891"],
+                         ["xi", "--p", "7", "--q", "3", "--r", "9"],
+                         ["ohtsuki", "--p", "999983", "--q", "2"],
+                         ["dedekind", "--q", "5", "--p", "13"],
+                         ["jacobi", "--a", "5", "--n", "21"],
+                         ["gauss", "--c", "15"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if lenstau.cli.main([*argv, "--format", "json"]) != 0:
+                        raise SystemExit(f"{{argv}} failed")
+            print(json.dumps({ORACLE_MODULES}))
+        """)
+        assert json.loads(out) == [False, False]
+
+    @pytest.mark.parametrize("argv", [
+        ["cf", "--p", "7", "--q", "3"],
+        ["oracle", "--p", "7", "--q", "3", "--r", "5"],
+        ["verify", "--max-p", "3", "--r", "3", "--jobs", "1"]])
+    def test_oracle_commands_load_the_oracle(self, argv):
+        out = fresh_interpreter(f"""
+            import contextlib, io, json, sys
+            import lenstau.cli
+            before = {ORACLE_MODULES}
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = lenstau.cli.main({argv!r} + ["--format", "json"])
+            print(json.dumps([code, before, {ORACLE_MODULES}]))
+        """)
+        assert json.loads(out) == [0, [False, False], [True, True]]
+
+    def test_package_names(self):
+        out = fresh_interpreter(f"""
+            import json, sys
+            import lenstau
+            listed = set(lenstau.__all__) <= set(dir(lenstau))
+            try:
+                lenstau.no_such_name
+                missing = "no AttributeError"
+            except AttributeError:
+                missing = "AttributeError"
+            before = {ORACLE_MODULES}
+            namespace = {{}}
+            exec("from lenstau import *", namespace)
+            unbound = sorted(set(lenstau.__all__) - set(namespace))
+            same = lenstau.verify is lenstau.rt_oracle.verify
+            print(json.dumps([listed, missing, before, unbound, same]))
+        """)
+        assert json.loads(out) == [True, "AttributeError", [False, False],
+                                   [], True]
+
+    def test_oracle_names_follow_rt_oracle(self, monkeypatch):
+        from lenstau import rt_oracle
+        monkeypatch.setattr(rt_oracle, "verify", lambda *args: None)
+        assert lenstau.verify is rt_oracle.verify
