@@ -20,14 +20,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import lens_invariants as li
 from . import ohtsuki as oh
 from .cyclotomic import Cyclotomic, gauss_sum
-from .errors import EvenOrder, InvalidOption, OrderOne
+from .errors import InvalidOption
 from .number_theory import dedekind_sum, jacobi_symbol
 
 EMBED_TOL = 1e-12  # double-precision embedding error bound at desk scale
@@ -90,17 +89,15 @@ def _exact_fields(value: Cyclotomic) -> dict:
 
 
 def _parse_r_list(text: str) -> list[int]:
+    """The orders of a verify sweep, checked as sweep_verify checks them."""
+    from .rt_oracle import _check_orders
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InvalidOption(f"cannot parse r list {text!r}")
     if not values:
         raise InvalidOption("empty r list")
-    for r in values:
-        if r % 2 == 0:
-            raise EvenOrder(f"r must be odd and > 1, got {r}")
-        if r <= 1:
-            raise OrderOne(f"r must be odd and > 1, got {r}")
+    _check_orders(values)
     return values
 
 
@@ -219,7 +216,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 0:
         raise InvalidOption(f"--jobs must be >= 0, got {args.jobs}")
     r_values = _parse_r_list(args.r)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs or rt.usable_cpus()
     records = rt.sweep_verify(args.max_p, r_values, args.tolerance, jobs=jobs)
     summary = rt.summarize(records)
     record = {
@@ -308,10 +305,12 @@ def build_parser() -> _Parser:
                    help="relative bound: a case matches when "
                         "|formula - oracle| <= tolerance * max(1, |formula|)")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes, each running whole orders: at "
-                        "most the CPU count and one per order, and a "
-                        "one-order sweep runs in-process "
-                        "(default: available parallelism)")
+                   help="processes, this one included: the orders are "
+                        "dealt largest first, this process runs the "
+                        "largest share and each worker sends back plain "
+                        "rows; at most the usable CPUs and one per order, "
+                        "so a one-order sweep starts no worker "
+                        "(default: the usable CPUs)")
     p.add_argument("--per-case", action="store_true")
     p.add_argument("--sign-study", action="store_true",
                    help="also compare all bracket sign readings")

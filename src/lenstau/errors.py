@@ -57,6 +57,10 @@ class EmptyChain(ValueError):
     """A continued fraction needs at least one term."""
 
 
+class WorkerDied(RuntimeError):
+    """A worker process exited without sending back its results."""
+
+
 class NotInvertible(ZeroDivisionError):
     """Power series denominator has no invertible unit part."""
 

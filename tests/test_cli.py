@@ -305,6 +305,18 @@ class TestBadFlags:
         assert code == 1
         assert "r must be odd and > 1" in err
 
+    def test_order_above_max_order_refused_before_work(self, capsys,
+                                                       monkeypatch):
+        from lenstau import rt_oracle
+        verified = []
+        monkeypatch.setattr(rt_oracle, "_verify_order",
+                            lambda *args: verified.append(args))
+        code, out, err = run(capsys, "verify", "--max-p", "5",
+                             "--r", "3,5001", "--jobs", "2")
+        assert code == 1 and out == ""
+        assert "order 5001 exceeds MAX_ORDER = 5000" in err
+        assert verified == []
+
     def test_bad_tolerance(self, capsys):
         assert run(capsys, "verify", "--max-p", "2", "--r", "3",
                    "--tolerance", "-1")[0] == 1
@@ -314,7 +326,8 @@ class TestBadFlags:
         ("--tolerance", "0", "--tolerance must be positive"),
         ("--jobs", "-1", "--jobs must be >= 0"),
         ("--r", "3,x", "cannot parse r list"),
-        ("--r", ",", "empty r list")])
+        ("--r", ",", "empty r list"),
+        ("--r", "3,3", "order 3 is listed more than once")])
     def test_invalid_verify_option(self, capsys, flag, value, message):
         argv = ["verify", "--max-p", "2", "--r", "3", flag, value]
         args = build_parser().parse_args(argv)

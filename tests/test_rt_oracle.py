@@ -1,17 +1,20 @@
 import cmath
-import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import random
+import signal
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lenstau import cli, cyclotomic, lens_invariants, rt_oracle
-from lenstau.errors import (EmptyChain, EvenOrder, NonPositiveP, NotCoprime,
-                            OrderOne, OrderOutOfRange)
+from lenstau.errors import (EmptyChain, EvenOrder, IntegralityFailure,
+                            InvalidOption, NonPositiveP, NotCoprime, OrderOne,
+                            OrderOutOfRange, WorkerDied)
 from lenstau.lens_invariants import make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
                                cf_value, continued_fraction,
@@ -21,31 +24,41 @@ from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
                                sweep_verify, verify)
 
 
-class SerialPool:
-    """Stand-in pool: records its size and the tasks it maps, and maps
-    them in-process, so no worker process starts whatever jobs asks for."""
+class InProcessWorker:
+    """Stand-in for rt_oracle._Worker: records the share it is dealt and
+    runs it in-process when the caller asks for its rows, so no process
+    starts and the work counts in this process."""
 
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
+    def __init__(self, orders, max_p, tolerance):
+        self.shares.append(orders)
+        self.args = orders, max_p, tolerance
 
-    def __enter__(self):
-        return self
+    def rows(self):
+        return rt_oracle._share_rows(*self.args)
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        self.tasks[:] = iterable
-        return map(fn, self.tasks)
+    def stop(self):
+        pass
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    monkeypatch.setattr(SerialPool, "started", [], raising=False)
-    monkeypatch.setattr(SerialPool, "tasks", [], raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        SerialPool)
-    return SerialPool
+def in_process_workers(monkeypatch):
+    monkeypatch.setattr(InProcessWorker, "shares", [], raising=False)
+    monkeypatch.setattr(rt_oracle, "_Worker", InProcessWorker)
+    return InProcessWorker
+
+
+def recording_orders(monkeypatch, also=None):
+    """Record each order _verify_order is asked for, in call order, and
+    call also(r) first when given."""
+    run, real = [], rt_oracle._verify_order
+
+    def recording(r, max_p, tolerance):
+        run.append(r)
+        if also is not None:
+            also(r)
+        return real(r, max_p, tolerance)
+    monkeypatch.setattr(rt_oracle, "_verify_order", recording)
+    return run
 
 
 class CountingS:
@@ -352,32 +365,65 @@ class TestVerify:
         assert summary["match_counts"]["none"] == 0
         assert summary["worst_abs_error"] < 1e-10
 
-    def test_sweep_parallel_matches_serial(self):
-        serial = sweep_verify(5, [3, 5], jobs=1)
-        parallel = sweep_verify(5, [3, 5], jobs=2)
-        assert [(r.p, r.q, r.r, r.match) for r in serial] == \
-            [(r.p, r.q, r.r, r.match) for r in parallel]
+    def test_sweep_parallel_matches_serial(self, monkeypatch):
+        # two CPUs whatever the host has, so a worker really forks
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        serial = sweep_verify(12, [3, 5, 7], jobs=1)
+        assert sweep_verify(12, [3, 5, 7], jobs=2) == serial
+        assert multiprocessing.active_children() == []
 
     def test_sweep_workers_capped_at_cpu_count(self, monkeypatch,
-                                               serial_pool):
-        # four orders, so the CPU count and not the order count binds
+                                               in_process_workers):
+        # four orders, so the CPU count and not the order count binds;
+        # the caller is one of the processes and runs share 0, [9, ...]
         r_values = [3, 5, 7, 9]
         serial = sweep_verify(3, r_values, jobs=1)
-        for cpus, jobs, pools in [(3, 10 ** 9, [3]), (3, 2, [2]),
-                                  (1, 64, []), (None, 64, [])]:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            serial_pool.started.clear()
+        for cpus, jobs, shares in [(3, 10 ** 9, [[7], [5]]),
+                                   (3, 2, [[7, 3]]), (1, 64, [])]:
+            monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: cpus)
+            in_process_workers.shares.clear()
             assert sweep_verify(3, r_values, jobs=jobs) == serial
-            assert serial_pool.started == pools, (cpus, jobs)
+            assert in_process_workers.shares == shares, (cpus, jobs)
 
     def test_sweep_workers_capped_at_order_count(self, monkeypatch,
-                                                 serial_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        for r_values, pools in [([3, 5, 7, 9], [4]), ([5], [])]:
+                                                 in_process_workers):
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 8)
+        for r_values, shares in [([3, 5, 7, 9], [[7], [5], [3]]),
+                                 ([5], [])]:
             serial = sweep_verify(3, r_values, jobs=1)
-            serial_pool.started.clear()
+            in_process_workers.shares.clear()
             assert sweep_verify(3, r_values, jobs=64) == serial
-            assert serial_pool.started == pools, r_values
+            assert in_process_workers.shares == shares, r_values
+
+    def test_default_jobs_is_the_usable_cpu_count(self, monkeypatch, capsys,
+                                                  in_process_workers):
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 3)
+        assert cli.main(["verify", "--max-p", "3", "--r", "3,5,7,9"]) == 0
+        assert in_process_workers.shares == [[7], [5]]
+
+    def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        assert rt_oracle.usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert rt_oracle.usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert rt_oracle.usable_cpus() == 1
+
+    @pytest.mark.parametrize("r_values, error, message", [
+        ([3, 5001], OrderOutOfRange, "exceeds MAX_ORDER"),
+        ([3, 5, 3], InvalidOption, "order 3 is listed more than once"),
+        ([3, 4], EvenOrder, "r must be odd and > 1"),
+        ([3, 1], OrderOne, "r must be odd and > 1")])
+    def test_orders_checked_before_any_work(self, monkeypatch,
+                                            in_process_workers, r_values,
+                                            error, message):
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        run = recording_orders(monkeypatch)
+        with pytest.raises(error, match=message):
+            sweep_verify(5, r_values, jobs=2)
+        assert run == [] and in_process_workers.shares == []
 
     @pytest.mark.parametrize("p, q", [(99, 1), (252, 181)])
     def test_tolerance_scales_with_value(self, p, q):
@@ -510,19 +556,74 @@ class TestSweepMemo:
         assert counts[0] == counts[1] > 0
 
     def test_two_batches_contract_as_one(self, monkeypatch, counting_s,
-                                         serial_pool):
-        # one order is one task, so every tail of a chain stays with it
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+                                         in_process_workers):
+        # one order is one unit of work, so every tail of a chain stays
+        # with its share
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        run = recording_orders(monkeypatch)
         r_values = [9, 3, 15, 5, 13, 7, 11]
         steps = []
         for jobs in (1, 2):
             counting_s.products = 0
+            run.clear()
             records = sweep_verify(30, r_values, jobs=jobs)
             steps.append(counting_s.products)
         assert steps[0] == steps[1] > 0
         assert len(records) == 1946
-        assert serial_pool.started == [2]
-        assert serial_pool.tasks == [15, 13, 11, 9, 7, 5, 3]
+        # dealt largest first: the caller runs share 0 before it asks
+        # the one worker for share 1
+        assert in_process_workers.shares == [[13, 9, 5]]
+        assert run == [15, 11, 7, 3, 13, 9, 5]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in _verify_order reaches a worker "
+                           "only by fork")
+class TestWorkers:
+    """Real worker processes: what goes wrong in one reaches the caller,
+    and no process outlives a sweep."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus_and_a_deadline(self, monkeypatch):
+        # a sweep that waits forever on a worker fails here instead
+        def expire(signum, frame):
+            raise TimeoutError("the sweep did not return within 60 s")
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        def fail(r):
+            if r == 3:
+                raise IntegralityFailure(f"bracket failed at r = {r}")
+        run = recording_orders(monkeypatch, fail)
+        with pytest.raises(IntegralityFailure,
+                           match=r"^bracket failed at r = 3$"):
+            sweep_verify(5, [3, 5], jobs=2)
+        assert run == [5]          # the caller's share; 3 ran in the worker
+
+    def test_dead_worker_names_its_exit_code(self, monkeypatch):
+        def die(r):
+            if r == 3:
+                os._exit(7)
+        recording_orders(monkeypatch, die)
+        with pytest.raises(WorkerDied, match="exited with code 7"):
+            sweep_verify(5, [3, 5], jobs=2)
+
+    def test_caller_error_stops_a_running_worker(self, monkeypatch):
+        def fail_or_stall(r):
+            if r == 5:
+                raise IntegralityFailure("caller share failed")
+            time.sleep(30)
+        recording_orders(monkeypatch, fail_or_stall)
+        start = time.monotonic()
+        with pytest.raises(IntegralityFailure, match="caller share failed"):
+            sweep_verify(5, [3, 5], jobs=2)
+        assert time.monotonic() - start < 10
 
 
 class TestChainWalk:
