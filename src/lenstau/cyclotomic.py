@@ -288,13 +288,22 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_N in Q[x]."""
+        """Multiplicative inverse by the Galois norm.
+
+        The product of x's conjugates under z -> z^k, k a unit mod N, is
+        the rational norm N(x); the product of the conjugates with k != 1
+        divided by N(x) is therefore 1/x.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_modular_inverse(list(self.coeffs), phi)
-        return Cyclotomic(self.order, inv)
+        n = self.order
+        others = Cyclotomic.from_rational(1, n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                others = others * self.galois_apply(k)
+        norm = (self * others).as_rational()
+        return Cyclotomic(n, [c * norm.denominator for c in others.nums],
+                          others.den * norm.numerator)
 
     def __truediv__(self, other) -> "Cyclotomic":
         other = self._promote(other)
@@ -431,47 +440,6 @@ def gauss_sum(c: int) -> Cyclotomic:
 
 
 # -- internal exact linear algebra ------------------------------------
-
-
-def _poly_modular_inverse(f: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
-    """Inverse of f in Q[x]/(phi) by extended Euclid; phi irreducible."""
-
-    def deg(p: list[Fraction]) -> int:
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    def divmod_poly(a: list[Fraction], b: list[Fraction]):
-        a = list(a)
-        db, lb = deg(b), b[deg(b)]
-        q = [_ZERO] * (max(deg(a) - db + 1, 1))
-        while deg(a) >= db and deg(a) >= 0:
-            da = deg(a)
-            c = a[da] / lb
-            q[da - db] = c
-            for j in range(db + 1):
-                a[da - db + j] -= c * b[j]
-        return q, a
-
-    r0, r1 = list(phi), list(f)
-    t0, t1 = [_ZERO], [_ONE]
-    while deg(r1) > 0:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        prod = [_ZERO] * (deg(q) + max(deg(t1), 0) + 2)
-        for i in range(deg(q) + 1):
-            if q[i]:
-                for j in range(max(deg(t1), 0) + 1):
-                    prod[i + j] += q[i] * t1[j]
-        t2 = [x - y for x, y in
-              zip(t0 + [_ZERO] * (len(prod) - len(t0) + 1),
-                  prod + [_ZERO] * (len(t0) - len(prod) + 1))]
-        t0, t1 = t1, t2
-    if deg(r1) < 0:
-        raise ZeroDivisionError("element shares a factor with Phi_N")
-    lead = r1[deg(r1)]
-    return [c / lead for c in t1]
 
 
 @lru_cache(maxsize=None)

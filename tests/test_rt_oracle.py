@@ -15,7 +15,7 @@ from lenstau import cli, cyclotomic, lens_invariants, rt_oracle
 from lenstau.errors import (EmptyChain, EvenOrder, IntegralityFailure,
                             InvalidOption, NonPositiveP, NotCoprime, OrderOne,
                             OrderOutOfRange, WorkerDied)
-from lenstau.lens_invariants import make_lens_space
+from lenstau.lens_invariants import BRACKET_CALIBRATED, make_lens_space
 from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
                                cf_value, continued_fraction,
                                lens_space_range, linking_matrix,
@@ -139,7 +139,7 @@ class TestSignature:
 
     @pytest.mark.parametrize("low, high", [(2, 9), (-2, 3)])
     def test_random_chains_match_eigenvalue_count(self, low, high):
-        # (2, 9): every term >= 2, the positive definite shortcut;
+        # (2, 9): every term >= 2, a positive definite matrix;
         # (-2, 3): each chain gets a term below 2, and small terms make
         # vanishing minors common
         rng = random.Random(low)
@@ -151,6 +151,31 @@ class TestSignature:
             eigs = np.linalg.eigvalsh(linking_matrix(tuple(framings)))
             expected = int(np.sum(eigs > 1e-9) - np.sum(eigs < -1e-9))
             assert signature(tuple(framings)) == expected, framings
+
+    def test_vanishing_minors_need_no_eigenvalues(self, monkeypatch):
+        # chains with a zero leading minor, inside the chain or at its
+        # end (a singular matrix), count exactly from the integer minors
+        rng = random.Random(11)
+        cases, ends = [], 0
+        while len(cases) < 300:
+            framings = tuple(rng.randint(-2, 2)
+                             for _ in range(rng.randint(1, 12)))
+            minors, d_prev2, d_prev = [], 0, 1
+            for a in framings:
+                d_prev2, d_prev = d_prev, a * d_prev - d_prev2
+                minors.append(d_prev)
+            if 0 in minors:
+                ends += minors[-1] == 0
+                eigs = np.linalg.eigvalsh(linking_matrix(framings))
+                cases.append((framings, int(np.sum(eigs > 1e-9)
+                                            - np.sum(eigs < -1e-9))))
+        assert 0 < ends < len(cases)
+
+        def no_eigenvalues(*args, **kwargs):
+            raise AssertionError("signature computed eigenvalues")
+        monkeypatch.setattr(rt_oracle.np.linalg, "eigvalsh", no_eigenvalues)
+        for framings, expected in cases:
+            assert signature(framings) == expected, framings
 
 
 class TestModularData:
@@ -427,15 +452,30 @@ class TestVerify:
 
     @pytest.mark.parametrize("p, q", [(99, 1), (252, 181)])
     def test_tolerance_scales_with_value(self, p, q):
-        # |value| is 1411 and 425; the oracle's absolute error (1.6e-8,
-        # 3.2e-8) exceeds 1e-8 but its relative error is below 1e-10
-        rec = verify(make_lens_space(p, q), 891)
+        # |value| is 1411 and 425, so the bound is far above tolerance:
+        # an oracle value displaced by more than tolerance but less than
+        # the bound matches, one displaced past the bound does not
+        L = make_lens_space(p, q)
+        rec = verify(L, 891)
         assert abs(rec.formula_value) > 100
-        assert rec.abs_error > 1e-8
         assert rec.match == "direct"
         assert rec.tolerance == 1e-8
         assert rec.bound == 1e-8 * abs(rec.formula_value)
-        assert rec.tolerance < rec.abs_error <= rec.bound
+        assert rec.abs_error <= rec.bound
+        for shift, match in ((rec.bound / 2, "direct"),
+                             (2 * rec.bound, "none")):
+            displaced = rt_oracle._compare(L, 891, rec.formula_value + shift,
+                                           1e-8, BRACKET_CALIBRATED)
+            assert displaced.match == match
+            assert displaced.abs_error > displaced.tolerance
+
+    def test_longest_chain_at_large_order(self):
+        # L(60,59) is the 59-term chain (2, ..., 2); its error stays far
+        # within the bound at r = 4995 only if the oracle reduces its
+        # phases in integers before they become floats
+        rec = verify(make_lens_space(60, 59), 4995)
+        assert rec.match == "direct"
+        assert rec.abs_error <= rec.bound / 10
 
     def test_inconsistent_summary_flags(self):
         records = sweep_verify(4, [5], tolerance=1e-30)
