@@ -23,9 +23,8 @@ from .ohtsuki import FormalSeries, binomial_series, ohtsuki_tau
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cyclotomic", "FormalSeries", "LensSpace", "Rational",
-    "SurgeryPresentation", "TauPrimeResult", "bezout_pair",
-    "binomial_series", "continued_fraction", "dedekind_sum",
+    "Cyclotomic", "FormalSeries", "LensSpace", "Rational", "TauPrimeResult",
+    "bezout_pair", "binomial_series", "continued_fraction", "dedekind_sum",
     "dedekind_sum_direct", "epsilon", "ext_gcd", "gauss_sum",
     "jacobi_symbol", "make_lens_space", "mod_inverse", "modular_data",
     "ohtsuki_tau", "rational_mod", "root_of_unity", "rt_invariant",
@@ -34,8 +33,8 @@ __all__ = [
 ]
 
 _ORACLE_NAMES = frozenset({
-    "SurgeryPresentation", "continued_fraction", "modular_data",
-    "rt_invariant", "so3_invariant", "sweep_verify", "verify",
+    "continued_fraction", "modular_data", "rt_invariant", "so3_invariant",
+    "sweep_verify", "verify",
 })
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -173,29 +174,29 @@ def cmd_gauss(args) -> int:
 
 def cmd_cf(args) -> int:
     from . import rt_oracle as rt
-    pres = rt.continued_fraction(args.p, args.q)
-    record = {"p": args.p, "q": args.q, "framings": list(pres.framings)}
+    framings = list(rt.continued_fraction(args.p, args.q))
+    record = {"p": args.p, "q": args.q, "framings": framings}
     _emit(record, args.format, lambda: [
-        f"{args.p}/{args.q} = {list(pres.framings)} (negative continued fraction)",
+        f"{args.p}/{args.q} = {framings} (negative continued fraction)",
     ])
     return 0
 
 
 def cmd_oracle(args) -> int:
     from . import rt_oracle as rt
-    pres = rt.continued_fraction(args.p, args.q)
+    framings = rt.continued_fraction(args.p, args.q)
     if args.kind == "so3":
-        value = rt.so3_invariant(pres, args.r)
+        value = rt.so3_invariant(framings, args.r)
     else:
-        value = rt.rt_invariant(pres, args.r)
+        value = rt.rt_invariant(framings, args.r)
     record = {
         "p": args.p, "q": args.q, "r": args.r, "kind": args.kind,
-        "framings": list(pres.framings),
+        "framings": list(framings),
         "value": _complex_dict(value),
     }
     _emit(record, args.format, lambda: [
         f"{args.kind} invariant of L({args.p},{args.q}) at r = {args.r} "
-        f"(chain {list(pres.framings)}):",
+        f"(chain {list(framings)}):",
         f"  {_plain_complex(record['value'])}",
     ])
     return 0
@@ -211,8 +212,8 @@ def cmd_verify(args) -> int:
     from . import rt_oracle as rt
     if args.max_p < 1:
         raise InvalidOption(f"--max-p must be >= 1, got {args.max_p}")
-    if not args.tolerance > 0:
-        raise InvalidOption("--tolerance must be positive")
+    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
+        raise InvalidOption("--tolerance must be positive and finite")
     if args.jobs < 0:
         raise InvalidOption(f"--jobs must be >= 0, got {args.jobs}")
     r_values = _parse_r_list(args.r)

@@ -53,10 +53,9 @@ from dataclasses import dataclass
 
 from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from .cyclotomic import _check_order as _check_field_order
-from .errors import (EvenOrder, IntegralityFailure, NonPositiveP, NotCoprime,
-                     OrderOne)
-from .number_theory import (_twelve_dedekind, bezout_pair, jacobi_symbol,
-                            mod_inverse)
+from .errors import EvenOrder, IntegralityFailure, OrderOne
+from .number_theory import (_check_lens_pair, _twelve_dedekind, bezout_pair,
+                            jacobi_symbol, mod_inverse)
 
 CASE_ONE = "CaseOne"
 CASE_TWO = "CaseTwo"
@@ -93,10 +92,7 @@ class TauPrimeResult:
 
 def make_lens_space(p: int, q: int) -> LensSpace:
     """Normalize (p, q) and attach the Bezout pair (q*, p*)."""
-    if p < 1:
-        raise NonPositiveP(f"p must be >= 1, got {p}")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) != 1")
+    _check_lens_pair(p, q)
     q %= p
     q_star = mod_inverse(q, p)
     p_star = (1 - q_star * q) // p
@@ -104,11 +100,16 @@ def make_lens_space(p: int, q: int) -> LensSpace:
 
 
 def _check_order(r: int) -> None:
-    """Refuse r before any O(r) work, MAX_ORDER included."""
+    """Refuse r before any O(r) work: the package's one order rule.
+
+    r must be odd and > 1 (EvenOrder, OrderOne), as the formulas take
+    residues modulo r of fractions over 2 and 4p, and at most MAX_ORDER
+    (OrderOutOfRange).
+    """
     if r % 2 == 0:
-        raise EvenOrder(f"r must be odd, got {r}")
+        raise EvenOrder(f"r must be odd and > 1, got {r}")
     if r <= 1:
-        raise OrderOne(f"r must exceed 1, got {r}")
+        raise OrderOne(f"r must be odd and > 1, got {r}")
     _check_field_order(r)
 
 

@@ -117,7 +117,7 @@ def sawtooth(x: Rational | int) -> Fraction:
 
 def dedekind_sum_direct(q: int, p: int) -> Fraction:
     """s(q, p) by direct O(p) summation; the oracle for dedekind_sum."""
-    _check_dedekind_args(q, p)
+    _check_lens_pair(p, q)
     total = Fraction(0)
     for k in range(1, p):
         total += sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p))
@@ -138,7 +138,7 @@ def _twelve_dedekind(q: int, p: int) -> tuple[int, int]:
     algorithm in O(log p) steps; 12 * s accumulates as one integer
     fraction.
     """
-    _check_dedekind_args(q, p)
+    _check_lens_pair(p, q)
     num, den = 0, 1                     # 12 * s(q, p) = num / den
     sign = 1
     q %= p
@@ -153,8 +153,10 @@ def _twelve_dedekind(q: int, p: int) -> tuple[int, int]:
     return num, den
 
 
-def _check_dedekind_args(q: int, p: int) -> None:
-    if p <= 0:
-        raise NonPositiveP(f"p must be positive, got {p}")
-    if math.gcd(q, p) != 1:
-        raise NotCoprime(f"gcd({q}, {p}) != 1")
+def _check_lens_pair(p: int, q: int) -> None:
+    """The package's one rule for a lens space pair (p, q), which
+    Dedekind sums s(q, p) share: p >= 1 and gcd(p, q) = 1."""
+    if p < 1:
+        raise NonPositiveP(f"p must be >= 1, got {p}")
+    if math.gcd(p, q) != 1:
+        raise NotCoprime(f"gcd({p}, {q}) != 1")

@@ -1,8 +1,8 @@
 """Floating-point Reshetikhin-Turaev oracle for lens spaces.
 
 This is a deliberately separate code path from the exact formulas: it
-computes quantum invariants directly from an integer surgery
-presentation (a chain link read off a negative continued fraction),
+computes quantum invariants directly from a surgery chain, the tuple
+of integer framings read off a negative continued fraction,
 contracting modular S/T data numerically and correcting the framing
 anomaly by the signature of the linking matrix.
 
@@ -52,29 +52,19 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import _check_order
-from .errors import (EmptyChain, EvenOrder, InvalidOption, NonPositiveP,
-                     NotCoprime, OrderOne, OrderOutOfRange, WorkerDied)
-from .lens_invariants import (BRACKET_CALIBRATED, LensSpace, make_lens_space,
+from .cyclotomic import _check_order as _check_field_order
+from .errors import (EmptyChain, IntegralityFailure, InvalidOption,
+                     OrderOutOfRange, WorkerDied)
+from .lens_invariants import (BRACKET_CALIBRATED, BRACKET_VARIANTS, CASE_TWO,
+                              LensSpace, _check_order, make_lens_space,
                               tau_prime)
-
-
-@dataclass(frozen=True)
-class SurgeryPresentation:
-    """Chain-link surgery data: component i has framing framings[i] and
-    consecutive components are Hopf-linked."""
-
-    framings: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.framings)
+from .number_theory import _check_lens_pair
 
 
 def cf_value(framings: tuple[int, ...] | list[int]) -> Fraction:
@@ -87,24 +77,21 @@ def cf_value(framings: tuple[int, ...] | list[int]) -> Fraction:
     return value
 
 
-def continued_fraction(p: int, q: int) -> SurgeryPresentation:
-    """Canonical negative continued fraction of p/q with all a_i >= 2.
+def continued_fraction(p: int, q: int) -> tuple[int, ...]:
+    """The framings (a_1, ..., a_m) of the canonical negative continued
+    fraction of p/q, every a_i >= 2: the surgery chain of L(p, q), whose
+    consecutive components are Hopf-linked.
 
-    p = 1 yields the empty presentation (S^3).
+    p = 1 yields the empty chain (S^3).
     """
-    if p < 1:
-        raise NonPositiveP(f"p must be >= 1, got {p}")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) != 1")
-    if p == 1:
-        return SurgeryPresentation(())
+    _check_lens_pair(p, q)
     q %= p  # 0 < q < p here and at every step, so every a >= 2
     terms = []
     while q > 0:
         a = -(-p // q)  # ceil(p/q)
         terms.append(a)
         p, q = q, a * q - p
-    return SurgeryPresentation(tuple(terms))
+    return tuple(terms)
 
 
 def linking_matrix(framings: tuple[int, ...]) -> np.ndarray:
@@ -166,17 +153,13 @@ def modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
     """
     if r < 3:
         raise OrderOutOfRange(f"r must be >= 3, got {r}")
-    _check_order(r)
+    _check_field_order(r)
     return _modular_arrays(r, False)
 
 
 def so3_modular_data(r: int) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Odd-color (SO(3)) modular data for odd r >= 3; S_{jk} =
+    """Odd-color (SO(3)) modular data for odd r > 1; S_{jk} =
     (2/sqrt(r)) sin(pi j k / r).  The arrays are cached and read-only."""
-    if r % 2 == 0:
-        raise EvenOrder(f"SO(3) data needs odd r, got {r}")
-    if r < 3:
-        raise OrderOne(f"r must be >= 3, got {r}")
     _check_order(r)
     return _modular_arrays(r, True)
 
@@ -198,17 +181,19 @@ def _contract(framings: tuple[int, ...], s: np.ndarray, t: np.ndarray,
     return kappa ** (-signature(framings)) * w / s[0, 0]
 
 
-def rt_invariant(pres: SurgeryPresentation, r: int) -> complex:
+def rt_invariant(framings: tuple[int, ...], r: int) -> complex:
     """The SU(2) Reshetikhin-Turaev invariant tau_r, normalized to
-    tau_r(S^3) = 1, for any integer chain presentation."""
+    tau_r(S^3) = 1, of surgery on the chain with these integer framings
+    (any integers; continued_fraction gives a lens space's chain)."""
     s, t, kappa = modular_data(r)
-    return _contract(pres.framings, s, t, kappa)
+    return _contract(framings, s, t, kappa)
 
 
-def so3_invariant(pres: SurgeryPresentation, r: int) -> complex:
-    """The SO(3) invariant tau'_r (odd colors only), tau'_r(S^3) = 1."""
+def so3_invariant(framings: tuple[int, ...], r: int) -> complex:
+    """The SO(3) invariant tau'_r (odd colors only), tau'_r(S^3) = 1, of
+    surgery on the chain with these integer framings."""
     s, t, kappa = so3_modular_data(r)
-    return _contract(pres.framings, s, t, kappa)
+    return _contract(framings, s, t, kappa)
 
 
 class VerifyRecord(NamedTuple):
@@ -284,10 +269,7 @@ def _compare(L: LensSpace, r: int, oracle: complex, tolerance: float,
 def lens_space_range(max_p: int):
     """All (p, q) with 1 <= p <= max_p, gcd(p, q) = 1, 0 <= q < p."""
     for p in range(1, max_p + 1):
-        if p == 1:
-            yield 1, 0
-            continue
-        for q in range(1, p):
+        for q in range(p):
             if math.gcd(p, q) == 1:
                 yield p, q
 
@@ -306,7 +288,7 @@ def _chain_walk(r: int, max_p: int):
     nodes with children, and each case fetches the modular data once, as
     so3_invariant does.
     """
-    yield 1, 0, so3_invariant(SurgeryPresentation(()), r)
+    yield 1, 0, so3_invariant((), r)
     powers = {}                          # a -> T^a
     stack = [(1, 0, None, 0)]            # (p0, q0, vec, m); None: vacuum
     while stack:
@@ -360,10 +342,6 @@ def _check_orders(r_values: list[int]) -> None:
     each must be odd, > 1, at most MAX_ORDER and listed once."""
     seen = set()
     for r in r_values:
-        if r % 2 == 0:
-            raise EvenOrder(f"r must be odd and > 1, got {r}")
-        if r <= 1:
-            raise OrderOne(f"r must be odd and > 1, got {r}")
         _check_order(r)
         if r in seen:
             raise InvalidOption(f"order {r} is listed more than once")
@@ -499,9 +477,6 @@ def bracket_sign_study(max_p: int = 10, r_values: tuple[int, ...] = (3, 5, 7, 9)
     surviving values match the oracle.  Exactly one reading should
     survive with a perfect score; it is the package default.
     """
-    from .errors import IntegralityFailure
-    from .lens_invariants import BRACKET_VARIANTS, CASE_TWO
-
     instances = [(p, q, r)
                  for p, q in lens_space_range(max_p) for r in r_values
                  if tau_prime(make_lens_space(p, q), r).branch == CASE_TWO]

@@ -293,7 +293,7 @@ class TestBadFlags:
         code, _, err = run(capsys, "tau-prime", "--p", "2", "--q", "1",
                            "--r", "1")
         assert code == 1
-        assert "exceed 1" in err
+        assert "r must be odd and > 1" in err
 
     @pytest.mark.parametrize("text, error", [
         ("3,4", EvenOrder), ("0", EvenOrder), ("5,1", OrderOne),
@@ -324,6 +324,7 @@ class TestBadFlags:
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-p", "0", "--max-p must be >= 1"),
         ("--tolerance", "0", "--tolerance must be positive"),
+        ("--tolerance", "inf", "--tolerance must be positive and finite"),
         ("--jobs", "-1", "--jobs must be >= 0"),
         ("--r", "3,x", "cannot parse r list"),
         ("--r", ",", "empty r list"),

@@ -90,7 +90,7 @@ def walk_paths(max_p: int) -> dict:
 
 
 def test_walk_path_is_the_continued_fraction_to_60():
-    assert walk_paths(60) == {(p, q): continued_fraction(p, q).framings
+    assert walk_paths(60) == {(p, q): continued_fraction(p, q)
                               for p, q in lens_space_range(60) if p > 1}
 
 
@@ -99,7 +99,7 @@ def test_walk_path_is_the_continued_fraction_to_60():
 def test_walk_path_is_the_continued_fraction(L):
     # the tree walked depends on max_p, so walk to p itself
     assert walk_paths(L.p).get((L.p, L.q), ()) == \
-        continued_fraction(L.p, L.q).framings
+        continued_fraction(L.p, L.q)
 
 
 @EXAMPLES

@@ -16,12 +16,11 @@ from lenstau.errors import (EmptyChain, EvenOrder, IntegralityFailure,
                             InvalidOption, NonPositiveP, NotCoprime, OrderOne,
                             OrderOutOfRange, WorkerDied)
 from lenstau.lens_invariants import BRACKET_CALIBRATED, make_lens_space
-from lenstau.rt_oracle import (SurgeryPresentation, bracket_sign_study,
-                               cf_value, continued_fraction,
-                               lens_space_range, linking_matrix,
-                               modular_data, rt_invariant, signature,
-                               so3_invariant, so3_modular_data, summarize,
-                               sweep_verify, verify)
+from lenstau.rt_oracle import (bracket_sign_study, cf_value,
+                               continued_fraction, lens_space_range,
+                               linking_matrix, modular_data, rt_invariant,
+                               signature, so3_invariant, so3_modular_data,
+                               summarize, sweep_verify, verify)
 
 
 class InProcessWorker:
@@ -92,21 +91,21 @@ def counting_s(monkeypatch):
 
 class TestContinuedFraction:
     def test_examples(self):
-        assert continued_fraction(3, 1).framings == (3,)
-        assert continued_fraction(5, 2).framings == (3, 2)
-        assert continued_fraction(7, 2).framings == (4, 2)
+        assert continued_fraction(3, 1) == (3,)
+        assert continued_fraction(5, 2) == (3, 2)
+        assert continued_fraction(7, 2) == (4, 2)
 
     def test_sphere_empty(self):
-        assert continued_fraction(1, 0).framings == ()
+        assert continued_fraction(1, 0) == ()
 
     def test_reconstruction_exact(self):
         for p in range(2, 40):
             for q in range(1, p):
                 if math.gcd(p, q) != 1:
                     continue
-                pres = continued_fraction(p, q)
-                assert all(a >= 2 for a in pres.framings)
-                assert cf_value(pres.framings) == Fraction(p, q)
+                framings = continued_fraction(p, q)
+                assert all(a >= 2 for a in framings)
+                assert cf_value(framings) == Fraction(p, q)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
@@ -125,8 +124,8 @@ class TestContinuedFraction:
 class TestSignature:
     def test_canonical_chains_positive_definite(self):
         for p, q in [(5, 2), (7, 3), (12, 5), (25, 7)]:
-            pres = continued_fraction(p, q)
-            assert signature(pres.framings) == len(pres.framings)
+            framings = continued_fraction(p, q)
+            assert signature(framings) == len(framings)
 
     def test_matches_numeric(self):
         for framings in [(1, -4), (2, 1), (-3,), (3, 2, 2), (0,), (0, 2)]:
@@ -216,6 +215,27 @@ class TestModularData:
                 so3_modular_data(r)
 
 
+@pytest.mark.parametrize("r, error, message", [
+    (4, EvenOrder, "r must be odd and > 1, got 4"),
+    (1, OrderOne, "r must be odd and > 1, got 1"),
+    (-1, OrderOne, "r must be odd and > 1, got -1"),
+    (5001, OrderOutOfRange, "order 5001 exceeds MAX_ORDER = 5000")])
+def test_one_order_rule(r, error, message):
+    # the exact formulas, the oracle and the sweep refuse an order alike
+    L = make_lens_space(5, 2)
+    calls = {
+        "tau_prime": lambda: lens_invariants.tau_prime(L, r),
+        "xi_r": lambda: lens_invariants.xi_r(L, r),
+        "so3_invariant": lambda: so3_invariant((3, 2), r),
+        "so3_modular_data": lambda: so3_modular_data(r),
+        "sweep_verify": lambda: sweep_verify(5, [r], jobs=1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message), name
+
+
 class TestModularDataCache:
     @pytest.mark.parametrize("data", (modular_data, so3_modular_data))
     def test_shared_and_read_only(self, data):
@@ -260,10 +280,10 @@ class TestOrderBound:
             raise self.Allocation
         monkeypatch.setattr(cyclotomic, "MAX_ORDER", 99)
         monkeypatch.setattr(rt_oracle.np, "outer", refuse)
-        pres = continued_fraction(3, 1)
+        framings = continued_fraction(3, 1)
         for fn in (rt_invariant, so3_invariant):
             with pytest.raises(ValueError, match="MAX_ORDER"):
-                fn(pres, 101)
+                fn(framings, 101)
         for kind in ("rt", "so3"):
             code = cli.main(["oracle", "--p", "3", "--q", "1", "--r", "101",
                              "--kind", kind])
@@ -274,16 +294,15 @@ class TestOrderBound:
 class TestRtInvariant:
     def test_sphere_calibration(self):
         for r in (3, 4, 5, 7, 10):
-            assert abs(rt_invariant(SurgeryPresentation(()), r) - 1) < 1e-12
-            assert abs(rt_invariant(SurgeryPresentation((1,)), r) - 1) < 1e-10
-            assert abs(rt_invariant(SurgeryPresentation((-1,)), r) - 1) < 1e-10
-            assert abs(rt_invariant(SurgeryPresentation((2, 1)), r) - 1) < 1e-10
+            assert abs(rt_invariant((), r) - 1) < 1e-12
+            assert abs(rt_invariant((1,), r) - 1) < 1e-10
+            assert abs(rt_invariant((-1,), r) - 1) < 1e-10
+            assert abs(rt_invariant((2, 1), r) - 1) < 1e-10
 
     def test_rp3_presentation_independence(self):
         # [2], [3,1] (blow-down) and [1,3] (q -> q+p) all give RP^3
         for r in (4, 5, 6, 7):
-            values = [rt_invariant(SurgeryPresentation(f), r)
-                      for f in [(2,), (3, 1), (1, 3)]]
+            values = [rt_invariant(f, r) for f in [(2,), (3, 1), (1, 3)]]
             mags = [abs(v) for v in values]
             assert max(mags) - min(mags) < 1e-9, r
             assert abs(values[0] - values[1]) < 1e-9
@@ -293,7 +312,7 @@ class TestRtInvariant:
         for r in (3, 4, 5, 8):
             s, _, _ = modular_data(r)
             expected = 1 / s[0, 0]
-            assert abs(rt_invariant(SurgeryPresentation((0,)), r) - expected) < 1e-9
+            assert abs(rt_invariant((0,), r) - expected) < 1e-9
 
     def test_distinct_lens_spaces_differ(self):
         # L(5,1) vs L(5,2): distinct oriented manifolds get distinct
@@ -313,8 +332,8 @@ class TestRtInvariant:
 class TestSo3Invariant:
     def test_sphere(self):
         for r in (3, 5, 7, 9):
-            assert abs(so3_invariant(SurgeryPresentation(()), r) - 1) < 1e-12
-            assert abs(so3_invariant(SurgeryPresentation((1,)), r) - 1) < 1e-10
+            assert abs(so3_invariant((), r) - 1) < 1e-12
+            assert abs(so3_invariant((1,), r) - 1) < 1e-10
 
     def test_r3_trivial_theory(self):
         for p, q in [(2, 1), (5, 2), (9, 4), (12, 7)]:
@@ -332,14 +351,13 @@ class TestSo3Invariant:
     def test_presentation_independence(self):
         # interior blow-up [3,2] ~ [4,1,3]; end extension realizes q -> q+p
         for r in (3, 5, 7, 9):
-            a = so3_invariant(SurgeryPresentation((3, 2)), r)
-            b = so3_invariant(SurgeryPresentation((4, 1, 3)), r)
+            a = so3_invariant((3, 2), r)
+            b = so3_invariant((4, 1, 3), r)
             assert abs(a - b) < 1e-8, r
         for (p, q) in [(5, 2), (7, 2), (8, 3)]:
             canonical = continued_fraction(p, q)
-            extended = SurgeryPresentation(
-                (1, canonical.framings[0] + 1) + canonical.framings[1:])
-            assert cf_value(extended.framings) == Fraction(p, q + p)
+            extended = (1, canonical[0] + 1) + canonical[1:]
+            assert cf_value(extended) == Fraction(p, q + p)
             for r in (5, 7):
                 a = so3_invariant(canonical, r)
                 b = so3_invariant(extended, r)
@@ -347,7 +365,7 @@ class TestSo3Invariant:
 
     def test_even_order_rejected(self):
         with pytest.raises(EvenOrder):
-            so3_invariant(SurgeryPresentation((2,)), 4)
+            so3_invariant((2,), 4)
 
 
 class TestVerify:
@@ -517,7 +535,7 @@ class TestSweepMemo:
                 break
         else:
             pytest.fail("the walk never reached L(1600, 1599)")
-        assert continued_fraction(1600, 1599).framings == (2,) * 1599
+        assert continued_fraction(1600, 1599) == (2,) * 1599
         assert value == so3_invariant(continued_fraction(1600, 1599), 3)
 
     def test_memo_does_not_outlive_a_sweep(self, counting_s):
@@ -678,7 +696,7 @@ class TestChainWalk:
     @pytest.mark.parametrize("max_p, r", [(30, 15), (60, 5)])
     def test_one_product_per_parent(self, counting_s, max_p, r):
         # S^3's children start from the vacuum row, which takes no product
-        tails = {continued_fraction(p, q).framings[1:]
+        tails = {continued_fraction(p, q)[1:]
                  for p, q in lens_space_range(max_p)}
         counting_s.products = 0
         for _ in rt_oracle._chain_walk(r, max_p):
