@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -212,8 +211,9 @@ def cmd_verify(args) -> int:
     from . import rt_oracle as rt
     if args.max_p < 1:
         raise InvalidOption(f"--max-p must be >= 1, got {args.max_p}")
-    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
-        raise InvalidOption("--tolerance must be positive and finite")
+    if not 0 < args.tolerance < 1:
+        raise InvalidOption(
+            f"--tolerance must be positive and below 1, got {args.tolerance:g}")
     if args.jobs < 0:
         raise InvalidOption(f"--jobs must be >= 0, got {args.jobs}")
     r_values = _parse_r_list(args.r)
@@ -303,7 +303,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=str, required=True,
                    help="comma-separated odd orders, e.g. 3,5,7,9")
     p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="relative bound: a case matches when "
+                   help="relative bound in (0, 1): a case matches when "
                         "|formula - oracle| <= tolerance * max(1, |formula|)")
     p.add_argument("--jobs", type=int, default=0,
                    help="processes, this one included: the orders are "

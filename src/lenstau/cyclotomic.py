@@ -9,7 +9,16 @@ integers.  Equality is therefore coefficient-wise; values of different
 orders interoperate by lifting both to Q(zeta_lcm).  ``coeffs`` is a
 read-only view of the same vector as ``Fraction``s.
 
-The canonical generator z of order N represents exp(2*pi*i/N).
+Reduction never reads the coefficients of Phi_N.  For N > 1,
+Phi_N = prod (1 - x^d)^mu(N/d) over the d | N with N/d squarefree, so
+dividing by Phi_N is one pass per factor, 2^omega(N) stride-d prefix
+sums and differences of O(len) integer steps each.  This is the
+sparse-power-series view of Arnold and Monagan, "Calculating cyclotomic
+polynomials", Math. Comp. 80 (2011).
+
+The canonical generator z of order N represents exp(2*pi*i/N); the
+complex embedding sums over a table of those powers, built once per
+order on first use.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Sequence
 
 from .errors import (EvenInput, NotCoprime, NotInSubfield, OrderMismatch,
@@ -77,14 +88,27 @@ def _div_xd_minus_one(poly: list[int], d: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _moebius_strides(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(phi(n), up, down): the d | n with n/d squarefree, split by
+    mu(n/d) = +1 (up) and -1 (down).
+
+    Phi_n = prod_up (x^d - 1) / prod_down (x^d - 1), which for n > 1 is
+    also prod_up (1 - x^d) / prod_down (1 - x^d), and
+    phi(n) = sum_(d | n) mu(n/d) * d = sum(up) - sum(down).
+    """
+    up, down = [n], []
+    for p in _prime_factors(n):
+        up, down = up + [d // p for d in down], down + [d // p for d in up]
+    return sum(up) - sum(down), tuple(up), tuple(down)
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of Phi_n, from the Moebius product
     Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): multiply by the factors with
     mu = +1, then divide exactly by those with mu = -1."""
     _check_order(n)
-    up, down = [n], []          # d = n/e for squarefree e, split by mu(e)
-    for p in _prime_factors(n):
-        up, down = up + [d // p for d in down], down + [d // p for d in up]
+    _, up, down = _moebius_strides(n)
     poly = [1]
     for d in up:
         poly = _times_xd_minus_one(poly, d)
@@ -98,25 +122,59 @@ def degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+def _stride_passes(g: list[int], times: Sequence[int],
+                   over: Sequence[int]) -> None:
+    """g := g * prod_times (1 - x^d) / prod_over (1 - x^d) mod x^len(g),
+    in place.
+
+    Multiplying by 1 - x^d is a stride-d difference and dividing by it a
+    stride-d prefix sum, taken one accumulate per residue class for
+    small d and one block of d terms at a time otherwise.  A factor with
+    d >= len(g) is 1 modulo x^len(g).
+    """
+    m = len(g)
+    for d in times:
+        if d < m:
+            g[d:] = list(map(sub, g[d:], g))
+    for d in over:
+        if d * d < m:
+            for j in range(d):
+                g[j::d] = accumulate(g[j::d])
+        else:
+            for i in range(d, m, d):
+                g[i:i + d] = map(add, g[i:i + d], g[i - d:i])
+
+
 def _reduce(coeffs: Sequence[int], n: int) -> tuple[int, ...]:
-    """Reduce an integer polynomial in z (any length) modulo Phi_n, pad
+    """Reduce an integer polynomial f in z (any length) modulo Phi_n, pad
     to full width.
 
-    Only the nonzero coefficients of Phi_n are visited: Phi_n is sparse at
-    many orders (Phi_891 has 15 nonzero coefficients of 541).
+    Trailing zeros are dropped first, so an f of degree below deg Phi_n
+    is returned as it is.  Otherwise the quotient q has
+    m = len(f) - deg Phi_n terms.  For n > 1, Phi_n is palindromic and
+    equals prod_up (1 - x^d) / prod_down (1 - x^d) (``_moebius_strides``),
+    so
+
+    * rev(q) = rev(f) / Phi_n mod x^m, and
+    * the remainder is f minus q * Phi_n mod x^(deg Phi_n),
+
+    each 2^omega(n) stride passes of O(len(f)) integer steps however many
+    coefficients of Phi_n are nonzero.  Phi_1 = x - 1 reduces f to f(1).
     """
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    terms = [(j, a) for j, a in enumerate(phi[:deg]) if a]
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, a in terms:
-                work[i - deg + j] -= c * a
-    work = work[:deg]
-    work += [0] * (deg - len(work))
-    return tuple(work)
+    deg, up, down = _moebius_strides(n)
+    top = len(coeffs)
+    while top > deg and not coeffs[top - 1]:
+        top -= 1
+    if top <= deg:
+        return tuple(coeffs[:top]) + (0,) * (deg - top)
+    if n == 1:
+        return (sum(coeffs),)
+    m = top - deg
+    rev_q = list(coeffs[top - 1:deg - 1:-1])    # rev(f) mod x^m
+    _stride_passes(rev_q, down, up)
+    low = rev_q[::-1][:deg] + [0] * (deg - m)   # q mod x^deg
+    _stride_passes(low, up, down)
+    return tuple(map(sub, coeffs[:deg], low))
 
 
 def _common_denominator(coeffs: Sequence) -> tuple[list[int], int]:
@@ -350,16 +408,17 @@ class Cyclotomic:
     def to_complex(self) -> complex:
         """Evaluate at z = exp(2*pi*i/N) in double precision.
 
-        The value is stored on the object the first time, so a value
-        shared by many callers is embedded once; it is the same float
-        on every call.
+        The powers of z come from ``_roots``, built once per order.  The
+        value is stored on the object the first time, so a value shared
+        by many callers is embedded once; it is the same float on every
+        call.
         """
         if self._complex is None:
-            n, den = self.order, self.den
+            den = self.den
             total = 0j
-            for i, c in enumerate(self.nums):
+            for c, w in zip(self.nums, _roots(self.order)):
                 if c:
-                    total += (c / den) * cmath.exp(2j * cmath.pi * i / n)
+                    total += (c / den) * w
             self._complex = total
         return self._complex
 
@@ -412,6 +471,14 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return f"Cyclotomic(order={self.order}, {self})"
+
+
+@lru_cache(maxsize=32)
+def _roots(n: int) -> tuple[complex, ...]:
+    """exp(2*pi*i*k/n) for k < deg Phi_n, the embedding of the power basis;
+    kept for the 32 most recent orders, a sweep's working set."""
+    return tuple(cmath.exp(2j * cmath.pi * k / n)
+                 for k in range(_moebius_strides(n)[0]))
 
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:

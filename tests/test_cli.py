@@ -324,7 +324,11 @@ class TestBadFlags:
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-p", "0", "--max-p must be >= 1"),
         ("--tolerance", "0", "--tolerance must be positive"),
-        ("--tolerance", "inf", "--tolerance must be positive and finite"),
+        ("--tolerance", "inf", "--tolerance must be positive and below 1"),
+        ("--tolerance", "nan", "--tolerance must be positive and below 1"),
+        ("--tolerance", "1", "--tolerance must be positive and below 1"),
+        ("--tolerance", "2", "--tolerance must be positive and below 1"),
+        ("--tolerance", "1e308", "--tolerance must be positive and below 1"),
         ("--jobs", "-1", "--jobs must be >= 0"),
         ("--r", "3,x", "cannot parse r list"),
         ("--r", ",", "empty r list"),

@@ -68,11 +68,11 @@ class TestRootOfUnity:
 
 class TestSparseReduction:
     # Phi_N is sparse at these orders; long vectors must still reduce fully.
-    @pytest.mark.parametrize("n", (105, 891, 1225))
+    @pytest.mark.parametrize("n", (105, 891, 1225, 4995))
     def test_z_to_the_n_is_one(self, n):
         assert Cyclotomic(n, [0] * n + [1]) == 1
 
-    @pytest.mark.parametrize("n", (105, 891, 1225))
+    @pytest.mark.parametrize("n", (105, 891, 1225, 4995))
     def test_multiples_of_phi_vanish(self, n):
         phi = list(cyclotomic_polynomial(n))
         for k in (0, 1, n // 2, n - 1):
@@ -80,18 +80,26 @@ class TestSparseReduction:
 
 
 def fraction_reduce(coeffs, n):
-    """The reduction modulo Phi_n in Fraction arithmetic (reference)."""
+    """The reduction modulo Phi_n one top term at a time (reference).
+
+    Each nonzero top coefficient c at z^i is cleared by subtracting
+    c * z^(i - deg) * Phi_n, reading the coefficients of Phi_n; the
+    library's stride passes never read them.  The loop runs on integer
+    numerators over the common denominator of coeffs and returns
+    Fractions.
+    """
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     terms = [(j, a) for j, a in enumerate(phi[:deg]) if a]
-    work = [Fraction(c) for c in coeffs]
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in fracs))
+    work = [c.numerator * (den // c.denominator) for c in fracs]
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            work[i] = Fraction(0)
             for j, a in terms:
                 work[i - deg + j] -= c * a
-    work = work[:deg]
+    work = [Fraction(c, den) for c in work[:deg]]
     return work + [Fraction(0)] * (deg - len(work))
 
 
@@ -104,10 +112,13 @@ class TestIntegerCore:
         ref = specialpolys.cyclotomic_poly(n, polys=True).all_coeffs()[::-1]
         assert cyclotomic_polynomial(n) == tuple(int(a) for a in ref)
 
-    @pytest.mark.parametrize("n", (105, 891, 1225))
+    @pytest.mark.parametrize("n", (1, 2, 3, 101, 105, 401, 891, 1225, 3465,
+                                   4095, 4620, 4995))
     def test_integer_reduce_matches_fraction_reduce(self, n):
         rng = random.Random(n)
-        for length in (1, degree(n), n, n + 1, 2 * n):
+        deg = degree(n)
+        # 2*deg - 1 is the length of a product of two reduced values
+        for length in sorted({0, deg, deg + 1, n, 2 * deg - 1, 3 * n}):
             coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
                       if rng.random() < 0.3 else Fraction(0)
                       for _ in range(length)]
@@ -246,20 +257,35 @@ class TestEmbedding:
         assert Cyclotomic.zero(5).to_complex() == 0
 
     def test_embedding_is_stored(self, monkeypatch):
-        class CountingCmath:
-            pi = cmath.pi
-            calls = 0
+        # an embedding that does work looks up the order's root table once
+        lookups = []
 
-            def exp(self, x):
-                CountingCmath.calls += 1
-                return cmath.exp(x)
+        def counting_roots(n, _real=cyc._roots):
+            lookups.append(n)
+            return _real(n)
 
-        monkeypatch.setattr(cyc, "cmath", CountingCmath())
+        monkeypatch.setattr(cyc, "_roots", counting_roots)
         x = Cyclotomic(15, [1, 0, Fraction(2, 3), -5])
         first = x.to_complex()
-        assert CountingCmath.calls == sum(1 for c in x.nums if c)
+        assert lookups == [15]
         assert x.to_complex() == first
-        assert CountingCmath.calls == sum(1 for c in x.nums if c)
+        assert lookups == [15]
+
+    @pytest.mark.parametrize("n", (5, 12, 891, 4995))
+    def test_root_table_sum_is_per_term_exp_sum(self, n):
+        # the table holds the same floats, summed in the same order
+        assert cyc._roots(n) == tuple(cmath.exp(2j * cmath.pi * i / n)
+                                      for i in range(degree(n)))
+        rng = random.Random(n)
+        for density, den in ((0.05, 1), (1.0, 1), (0.3, 7), (1.0, 360)):
+            x = Cyclotomic(n, [rng.randrange(-99, 100)
+                               if rng.random() < density else 0
+                               for _ in range(degree(n))], den)
+            total = 0j
+            for i, c in enumerate(x.nums):
+                if c:
+                    total += (c / x.den) * cmath.exp(2j * cmath.pi * i / n)
+            assert x.to_complex() == total
 
     def test_stored_embedding_equals_fresh(self):
         rng = random.Random(7)

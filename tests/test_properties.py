@@ -1,10 +1,12 @@
-"""Property tests at random coprime (p, q), p <= 200, and odd r <= 45.
+"""Property tests at random coprime (p, q), p <= 200, and odd r <= 45,
+and of the reduction modulo Phi_n on random integer vectors.
 
 Derandomized with a fixed number of examples, so every run checks the
 same cases.
 """
 
 import math
+import random
 
 import pytest
 
@@ -12,11 +14,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lenstau import rt_oracle  # noqa: E402
+from lenstau.cyclotomic import _reduce, degree  # noqa: E402
 from lenstau.lens_invariants import (BRACKET_CALIBRATED,  # noqa: E402
                                      make_lens_space, tau_prime,
                                      tau_prime_via_galois)
 from lenstau.rt_oracle import (continued_fraction,  # noqa: E402
                                lens_space_range, so3_invariant, verify)
+from test_cyclotomic import fraction_reduce  # noqa: E402
 
 EXAMPLES = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -51,6 +55,26 @@ def test_homeomorphism_invariance(L, r):
     assert tau_prime(make_lens_space(L.p, L.q + L.p), r).value == value
     # L(p, q) and L(p, q*) are the same oriented manifold
     assert tau_prime(make_lens_space(L.p, L.q_star), r).value == value
+
+
+# orders with one to four distinct primes, sparse and dense Phi_n
+reduce_orders = st.sampled_from((1, 2, 3, 4, 12, 15, 45, 101, 105, 210, 401,
+                                 891, 1225, 4995))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(reduce_orders, st.floats(0, 3), st.sampled_from((0.01, 0.2, 1.0)),
+       st.sampled_from((1, 9, 10**20)), st.integers(0, 2**32 - 1))
+def test_reduce_matches_reference(n, stretch, density, bound, seed):
+    # a random integer vector of length up to 3n, as sparse or dense as
+    # density says
+    rng = random.Random(seed)
+    length = round(stretch * n)
+    coeffs = [rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(length)]
+    reduced = _reduce(coeffs, n)
+    assert len(reduced) == degree(n)
+    assert list(reduced) == fraction_reduce(coeffs, n)
 
 
 def walk_paths(max_p: int) -> dict:

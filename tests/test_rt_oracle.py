@@ -585,32 +585,32 @@ class TestSweepMemo:
         assert 0 < counts[0] < nonzero / 2
 
     def test_values_embedded_once_per_sweep(self, monkeypatch):
-        # counting stand-ins for the two builders and for cmath.exp, which
-        # to_complex calls once per nonzero term
+        # counting stand-ins for the two builders, and an embedding count:
+        # a to_complex call does work only while nothing is stored
         built = []
         for name in ("_quantum_ratio", "_gauss_quotient"):
             def counting(*args, _real=getattr(lens_invariants, name)):
                 built.append(_real(*args))
                 return built[-1]
             monkeypatch.setattr(lens_invariants, name, counting)
+        embedded = []
 
-        class CountingCmath:
-            pi = cmath.pi
-            exps = 0
+        def counting_embed(self, _real=cyclotomic.Cyclotomic.to_complex):
+            if self._complex is None:
+                embedded.append(self)
+            return _real(self)
 
-            def exp(self, x):
-                CountingCmath.exps += 1
-                return cmath.exp(x)
-
-        monkeypatch.setattr(cyclotomic, "cmath", CountingCmath())
+        monkeypatch.setattr(cyclotomic.Cyclotomic, "to_complex",
+                            counting_embed)
         counts = []
         for _ in range(2):
             built.clear()
-            CountingCmath.exps = 0
+            embedded.clear()
             sweep_verify(30, [3, 5, 7, 9, 15, 21], jobs=1)
-            counts.append(CountingCmath.exps)
-            assert CountingCmath.exps == sum(
-                sum(1 for c in value.nums if c) for value in built)
+            # the Zero branch builds a fresh zero per case
+            nonzero = [value for value in embedded if not value.is_zero()]
+            counts.append(len(nonzero))
+            assert sorted(map(id, nonzero)) == sorted(map(id, built))
         assert counts[0] == counts[1] > 0
 
     def test_two_batches_contract_as_one(self, monkeypatch, counting_s,
