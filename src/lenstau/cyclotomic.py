@@ -17,8 +17,8 @@ sparse-power-series view of Arnold and Monagan, "Calculating cyclotomic
 polynomials", Math. Comp. 80 (2011).
 
 The canonical generator z of order N represents exp(2*pi*i/N); the
-complex embedding sums over a table of those powers, built once per
-order on first use.
+complex embedding sums over a table of those powers, built on first use
+and kept for the three most recent orders.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 def degree(n: int) -> int:
     """deg Phi_n = Euler phi(n)."""
-    return len(cyclotomic_polynomial(n)) - 1
+    _check_order(n)
+    return _moebius_strides(n)[0]
 
 
 def _stride_passes(g: list[int], times: Sequence[int],
@@ -129,7 +130,10 @@ def _stride_passes(g: list[int], times: Sequence[int],
 
     Multiplying by 1 - x^d is a stride-d difference and dividing by it a
     stride-d prefix sum, taken one accumulate per residue class for
-    small d and one block of d terms at a time otherwise.  A factor with
+    small d and one block of d terms at a time otherwise.  The first
+    costs a slice per residue (d of them), the second a slice per block
+    (len(g) / d of them), so they cross near d * d = len(g); neither is
+    the faster at every (d, len(g)) that reduction meets.  A factor with
     d >= len(g) is 1 modulo x^len(g).
     """
     m = len(g)
@@ -408,7 +412,7 @@ class Cyclotomic:
     def to_complex(self) -> complex:
         """Evaluate at z = exp(2*pi*i/N) in double precision.
 
-        The powers of z come from ``_roots``, built once per order.  The
+        The powers of z come from ``_roots``, a per-order table.  The
         value is stored on the object the first time, so a value shared
         by many callers is embedded once; it is the same float on every
         call.
@@ -473,12 +477,13 @@ class Cyclotomic:
         return f"Cyclotomic(order={self.order}, {self})"
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=3)
 def _roots(n: int) -> tuple[complex, ...]:
     """exp(2*pi*i*k/n) for k < deg Phi_n, the embedding of the power basis;
-    kept for the 32 most recent orders, a sweep's working set."""
-    return tuple(cmath.exp(2j * cmath.pi * k / n)
-                 for k in range(_moebius_strides(n)[0]))
+    kept for the three most recent orders.  A verify sweep embeds one
+    order at a time, and three is the most orders that the exact-value
+    benchmark workload alternates between (r = 891, 401 and 101)."""
+    return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(degree(n)))
 
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:

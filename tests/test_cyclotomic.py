@@ -44,6 +44,13 @@ class TestPolynomials:
     def test_degree_is_totient(self):
         for n in range(1, 40):
             assert degree(n) == totient(n)
+        for n in (891, 3465, 4095, 4995):
+            assert degree(n) == len(cyclotomic_polynomial(n)) - 1
+
+    def test_degree_refuses_order_out_of_range(self):
+        for n in (0, cyc.MAX_ORDER + 1):
+            with pytest.raises(OrderOutOfRange):
+                degree(n)
 
 
 class TestRootOfUnity:

@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 import multiprocessing
