@@ -96,6 +96,20 @@ class TestTauPrime:
         assert result.branch == ZERO
         assert result.c == 5
 
+    def test_values_are_integral(self):
+        # tau'_r lies in Z[zeta_r]: the integrality results of H. Murakami
+        # and of Masbaum-Roberts, proved at prime r.  Every value at odd
+        # r = 3..27 and p <= 40 has den 1, the Zero branch and composite
+        # r included.
+        count = 0
+        for r in range(3, 28, 2):
+            memo = {}
+            for L in lens_spaces(40):
+                assert tau_prime(L, r, memo=memo).value.den == 1, \
+                    (L.p, L.q, r)
+                count += 1
+        assert count == 6370
+
     def test_case_two_instance(self):
         L = make_lens_space(3, 1)
         result = tau_prime(L, 3)

@@ -1,5 +1,6 @@
 """Property tests at random coprime (p, q), p <= 200, and odd r <= 45,
-and of the reduction modulo Phi_n on random integer vectors.
+of the reduction modulo Phi_n on random integer vectors, and of the
+Ohtsuki coefficients' reduction at smooth and large p.
 
 Derandomized with a fixed number of examples, so every run checks the
 same cases.
@@ -7,6 +8,7 @@ same cases.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,8 +18,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lenstau import rt_oracle  # noqa: E402
 from lenstau.cyclotomic import _reduce, degree  # noqa: E402
 from lenstau.lens_invariants import (BRACKET_CALIBRATED,  # noqa: E402
-                                     make_lens_space, tau_prime,
-                                     tau_prime_via_galois)
+                                     _twelve_s_times_p, make_lens_space,
+                                     tau_prime, tau_prime_via_galois)
+from lenstau.ohtsuki import (_from_coprime,  # noqa: E402
+                             _over_falling_denominators, ohtsuki_tau)
 from lenstau.rt_oracle import (continued_fraction,  # noqa: E402
                                lens_space_range, so3_invariant, verify)
 from test_cyclotomic import fraction_reduce  # noqa: E402
@@ -75,6 +79,67 @@ def test_reduce_matches_reference(n, stretch, density, bound, seed):
     reduced = _reduce(coeffs, n)
     assert len(reduced) == degree(n)
     assert list(reduced) == fraction_reduce(coeffs, n)
+
+
+def plain_ohtsuki(L, n_terms):
+    """lambda_(k-1) = Fraction(P_up(k) - P_down(k), (4p)^k k!), the plain
+    normalizing reduction (reference)."""
+    m = _twelve_s_times_p(L)
+    b = 4 * L.p
+    up = down = 1
+    out = []
+    for k in range(1, n_terms + 1):
+        up *= 2 * L.p - m + 2 - (k - 1) * b
+        down *= 2 * L.p - m - 2 - (k - 1) * b
+        out.append(Fraction(up - down, b ** k * math.factorial(k)))
+    return tuple(out)
+
+
+def assert_ohtsuki_reduced(L, n_terms):
+    coeffs = ohtsuki_tau(L, n_terms).coeffs
+    assert coeffs == plain_ohtsuki(L, n_terms)
+    for c in coeffs:
+        assert c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
+
+
+@st.composite
+def ohtsuki_lens_spaces(draw):
+    # p = 2^e 3^a 5^c 7^d at high valuations, where b = 4p shares the
+    # most primes with k!, or any p up to 10^30
+    if draw(st.booleans()):
+        p = (2 ** draw(st.integers(0, 40)) * 3 ** draw(st.integers(0, 20))
+             * 5 ** draw(st.integers(0, 12)) * 7 ** draw(st.integers(0, 10)))
+    else:
+        p = draw(st.integers(1, 10 ** 30))
+    q = draw(st.integers(0, p - 1))
+    while math.gcd(p, q) != 1:
+        q += 1
+    return make_lens_space(p, q)
+
+
+@EXAMPLES
+@given(ohtsuki_lens_spaces(), st.integers(1, 200))
+def test_ohtsuki_reduction_matches_reference(L, n_terms):
+    assert_ohtsuki_reduced(L, n_terms)
+
+
+@pytest.mark.parametrize("p, q", [(35, 26), (945, 13)])
+def test_ohtsuki_strips_at_most_k_times(p, q):
+    # stripping gcd(., o) until it reaches 1 takes too much out of
+    # lambda_2 of L(35, 26) and lambda_1 of L(945, 13)
+    assert_ohtsuki_reduced(make_lens_space(p, q), 40)
+
+
+def test_from_coprime_is_a_plain_fraction():
+    for n, d in ((0, 1), (1, 1), (-7, 12), (3 ** 200, 2 ** 300 * 5),
+                 (-(10 ** 50 + 1), 10 ** 49)):
+        x = _from_coprime(n, d)
+        assert type(x) is Fraction
+        assert x == Fraction(n, d)
+        assert hash(x) == hash(Fraction(n, d))
+    for x in _over_falling_denominators([0, -5, 7, 120], 6):
+        assert type(x) is Fraction
 
 
 def walk_paths(max_p: int) -> dict:
