@@ -38,9 +38,6 @@ from .errors import (EvenInput, NotCoprime, NotInSubfield, OrderMismatch,
 # silent degradation; callers may raise the limit for bigger sweeps.
 MAX_ORDER = 5000
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def _check_order(n: int) -> None:
     if n < 1:
@@ -278,22 +275,55 @@ class Cyclotomic:
         return Cyclotomic(order, out, self.den)
 
     def descend(self, d: int) -> "Cyclotomic":
-        """Re-express in Q(zeta_d) for a divisor d of the order.
+        """Re-express in Q(zeta_d) for a divisor d of the order N.
 
-        The coefficients over the power basis of Q(zeta_d) are found by
-        exact linear solving; the system is inconsistent exactly when the
-        value does not lie in Q(zeta_d).
+        Let m be N without the prime powers whose prime does not divide
+        d.  A value in Q(zeta_d) equals its mean over Q(zeta_m)
+        (``_mean_over``), which is checked by lifting the mean back.
+        Since rad(m) | d, Phi_m(x) = Phi_d(x^(m/d)), so an element of
+        Q(zeta_m) lies in Q(zeta_d) exactly when its only nonzero
+        coefficients are at multiples of m/d.  No linear algebra is
+        needed; NotInSubfield if either test fails.
         """
+        _check_order(d)
         n = self.order
         if n % d != 0:
             raise OrderMismatch(f"{d} does not divide order {n}")
         if d == n:
             return self
-        sol = _solve_descend(n, d, self.nums)
-        if sol is None:
+        # the exponent of each prime in n is below n.bit_length()
+        m = math.gcd(n, d ** n.bit_length())
+        value = self._mean_over(m)
+        step = m // d
+        if (m < n and value.lift(n) != self) or any(
+                c for i, c in enumerate(value.nums) if i % step):
             raise NotInSubfield(
                 f"value of order {n} is not in Q(zeta_{d})")
-        return Cyclotomic(d, sol, self.den)
+        return Cyclotomic(d, value.nums[::step], value.den)
+
+    def _mean_over(self, m: int) -> "Cyclotomic":
+        """The mean of the conjugates over Q(zeta_m), as a value of order
+        m, for m | N with gcd(m, N/m) = 1.
+
+        With k = N/m and a = 1/k mod m, z_N^i = z_m^(i*a) * z_k^(i*b) for
+        some b prime to k, and the mean of z_k^(i*b) over Gal(Q(zeta_k)/Q)
+        is the Ramanujan sum c_k(i) / phi(k), where
+        c_k(i) = sum of e | gcd(k, i) of mu(k/e) * e: the ``up`` divisors
+        of k that divide i, less the ``down`` ones.
+        """
+        k = self.order // m
+        phi, up, down = _moebius_strides(k)
+        a = pow(k, -1, m)
+        ramanujan = [0] * len(self.nums)       # c_k(i), by stride passes
+        for e in up:
+            ramanujan[::e] = [c + e for c in ramanujan[::e]]
+        for e in down:
+            ramanujan[::e] = [c - e for c in ramanujan[::e]]
+        out = [0] * m
+        for i, (c, r) in enumerate(zip(self.nums, ramanujan)):
+            if c and r:
+                out[i * a % m] += c * r
+        return Cyclotomic(m, out, self.den * phi)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
@@ -438,25 +468,11 @@ class Cyclotomic:
     def __hash__(self) -> int:
         """Hash of the mean of the conjugates, Tr(x)/phi(N).
 
-        z^i has order m = N/gcd(N, i) and contributes mu(m)/phi(m) to the
-        mean.  The mean does not change under lift and equals x for a
-        rational x, so equal values hash alike, ints and Fractions too.
+        The mean does not change under lift and equals x for a rational
+        x, so equal values hash alike, ints and Fractions too.
         """
-        n = self.order
-        primes = _prime_factors(n)
-        mean = _ZERO
-        for i, c in enumerate(self.nums):
-            if c:
-                m = n // math.gcd(n, i)
-                mu, phi = 1, m
-                for p in primes:
-                    if m % p == 0:
-                        mu, phi = -mu, phi // p * (p - 1)
-                        if m % (p * p) == 0:
-                            mu = 0
-                if mu:
-                    mean += Fraction(mu * c, phi)
-        return hash(mean / self.den)
+        mean = self._mean_over(1)
+        return hash(Fraction(mean.nums[0], mean.den))
 
     def __str__(self) -> str:
         terms = []
@@ -509,51 +525,3 @@ def gauss_sum(c: int) -> Cyclotomic:
     for j in range(1, c + 1):
         counts[(j * j) % c] += 1
     return Cyclotomic(c, counts)
-
-
-# -- internal exact linear algebra ------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _descend_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Columns: z_n^(j*n/d) for j < deg Phi_d, reduced into Q(zeta_n)."""
-    step = n // d
-    cols = []
-    for j in range(degree(d)):
-        e = (j * step) % n
-        vec = [0] * (e + 1)
-        vec[e] = 1
-        cols.append(_reduce(vec, n))
-    return tuple(cols)
-
-
-def _solve_descend(n: int, d: int, target: Sequence[Fraction | int]):
-    """Solve sum_j c_j * basis_j = target exactly; None if inconsistent."""
-    cols = _descend_basis(n, d)
-    ncols = len(cols)
-    nrows = degree(n)
-    # augmented rows
-    rows = [[col[i] for col in cols] + [target[i]] for i in range(nrows)]
-    pivot_rows: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = _ONE / pr[col]
-        rows[rank] = pr = [v * inv for v in pr]
-        for r in range(nrows):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        pivot_rows.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if rows[r][ncols] != 0:
-            return None
-    sol = [_ZERO] * ncols
-    for r, col in enumerate(pivot_rows):
-        sol[col] = rows[r][ncols]
-    return sol

@@ -362,6 +362,19 @@ class TestLiftDescend:
             root_of_unity(10, 1).descend(4)
         with pytest.raises(OrderMismatch, match="is not a multiple of"):
             root_of_unity(10, 1).lift(15)
+        for d in (0, -5):
+            with pytest.raises(OrderOutOfRange):
+                root_of_unity(10, 1).descend(d)
+
+    @pytest.mark.parametrize("n, d", [(3465, 315), (4620, 105), (4995, 135)])
+    def test_large_orders(self, n, d):
+        # orders with primes that d lacks, phi(n) up to 1440
+        rng = random.Random(n)
+        y = Cyclotomic(d, [rng.randrange(-3, 4) for _ in range(degree(d))],
+                       den=7)
+        assert y.lift(n).descend(d) == y
+        with pytest.raises(NotInSubfield):
+            (y.lift(n) + root_of_unity(n, 1)).descend(d)
 
     def test_as_rational_of_irrational(self):
         assert Cyclotomic(7, [Fraction(2, 3)]).as_rational() == Fraction(2, 3)

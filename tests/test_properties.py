@@ -1,6 +1,7 @@
 """Property tests at random coprime (p, q), p <= 200, and odd r <= 45,
-of the reduction modulo Phi_n on random integer vectors, and of the
-Ohtsuki coefficients' reduction at smooth and large p.
+of the reduction modulo Phi_n on random integer vectors, of subfield
+descent and hashing against the Galois conjugates at n <= 420, and of
+the Ohtsuki coefficients' reduction at smooth and large p.
 
 Derandomized with a fixed number of examples, so every run checks the
 same cases.
@@ -16,7 +17,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lenstau import rt_oracle  # noqa: E402
-from lenstau.cyclotomic import _reduce, degree  # noqa: E402
+from lenstau.cyclotomic import (Cyclotomic, _reduce, degree,  # noqa: E402
+                                root_of_unity)
+from lenstau.errors import NotInSubfield  # noqa: E402
 from lenstau.lens_invariants import (BRACKET_CALIBRATED,  # noqa: E402
                                      _twelve_s_times_p, make_lens_space,
                                      tau_prime, tau_prime_via_galois)
@@ -79,6 +82,63 @@ def test_reduce_matches_reference(n, stretch, density, bound, seed):
     reduced = _reduce(coeffs, n)
     assert len(reduced) == degree(n)
     assert list(reduced) == fraction_reduce(coeffs, n)
+
+
+@st.composite
+def subfield_cases(draw):
+    """(n, d, x) with d a proper divisor of n <= 420 and
+    x = y.lift(n) + c * z_n^j for a y in Q(zeta_d): in Q(zeta_d) when
+    c = 0, and often not otherwise."""
+    n = draw(st.integers(2, 420))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = rng.choice([d for d in range(1, n) if n % d == 0])
+    y = Cyclotomic(d, [rng.randrange(-3, 4) for _ in range(degree(d))],
+                   den=rng.randrange(1, 7))
+    c = rng.choice((0, 1, -2, Fraction(1, 3)))
+    return n, d, y.lift(n) + c * root_of_unity(n, rng.randrange(n))
+
+
+def conjugate_mean(x, m):
+    """The plain average of x's images under z -> z^k, k = 1 (mod m)."""
+    n = x.order
+    images = [x.galois_apply(k) for k in range(1, n + 1, m)
+              if math.gcd(k, n) == 1]
+    return sum(images, Cyclotomic.zero(n)) * Fraction(1, len(images))
+
+
+@EXAMPLES
+@given(subfield_cases())
+def test_descend_iff_galois_fixed_at_any_order(case):
+    # x lies in Q(zeta_d) iff every automorphism z -> z^k with k = 1
+    # (mod d) fixes it, here at orders with primes that d lacks
+    n, d, x = case
+    fixed = all(x.galois_apply(k) == x for k in range(1 + d, n, d)
+                if math.gcd(k, n) == 1)
+    if fixed:
+        assert x.descend(d).order == d
+        assert x.descend(d).lift(n) == x
+    else:
+        with pytest.raises(NotInSubfield):
+            x.descend(d)
+
+
+@EXAMPLES
+@given(subfield_cases())
+def test_mean_over_is_the_conjugate_average(case):
+    # the smallest m with d | m | n and gcd(m, n/m) = 1
+    n, d, x = case
+    m = min(m for m in range(d, n + 1, d)
+            if n % m == 0 and math.gcd(m, n // m) == 1)
+    mean = x._mean_over(m)
+    assert mean.order == m
+    assert mean.lift(n) == conjugate_mean(x, m)
+
+
+@EXAMPLES
+@given(subfield_cases())
+def test_hash_is_the_mean_of_all_conjugates(case):
+    _, _, x = case
+    assert hash(x) == hash(conjugate_mean(x, 1).as_rational())
 
 
 def plain_ohtsuki(L, n_terms):
