@@ -15,15 +15,15 @@ from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from .lens_invariants import (LensSpace, TauPrimeResult, make_lens_space,
                               tau_prime, tau_prime_via_galois, three_s_sqrt,
                               xi_r)
-from .number_theory import (Rational, bezout_pair, dedekind_sum,
-                            dedekind_sum_direct, epsilon, ext_gcd,
-                            jacobi_symbol, mod_inverse, rational_mod)
+from .number_theory import (bezout_pair, dedekind_sum, dedekind_sum_direct,
+                            epsilon, ext_gcd, jacobi_symbol, mod_inverse,
+                            rational_mod)
 from .ohtsuki import FormalSeries, binomial_series, ohtsuki_tau
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cyclotomic", "FormalSeries", "LensSpace", "Rational", "TauPrimeResult",
+    "Cyclotomic", "FormalSeries", "LensSpace", "TauPrimeResult",
     "bezout_pair", "binomial_series", "continued_fraction", "dedekind_sum",
     "dedekind_sum_direct", "epsilon", "ext_gcd", "gauss_sum",
     "jacobi_symbol", "make_lens_space", "mod_inverse", "modular_data",

@@ -9,12 +9,12 @@ integers.  Equality is therefore coefficient-wise; values of different
 orders interoperate by lifting both to Q(zeta_lcm).  ``coeffs`` is a
 read-only view of the same vector as ``Fraction``s.
 
-Reduction never reads the coefficients of Phi_N.  For N > 1,
-Phi_N = prod (1 - x^d)^mu(N/d) over the d | N with N/d squarefree, so
-dividing by Phi_N is one pass per factor, 2^omega(N) stride-d prefix
-sums and differences of O(len) integer steps each.  This is the
-sparse-power-series view of Arnold and Monagan, "Calculating cyclotomic
-polynomials", Math. Comp. 80 (2011).
+For N > 1, Phi_N = prod (1 - x^d)^mu(N/d) over the d | N with N/d
+squarefree, so multiplying or dividing by Phi_N is one pass per factor,
+2^omega(N) stride-d differences and prefix sums of O(len) integer steps
+each.  Those passes build Phi_N itself, and reduction never reads its
+coefficients.  This is the sparse-power-series view of Arnold and
+Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80 (2011).
 
 The canonical generator z of order N represents exp(2*pi*i/N); the
 complex embedding sums over a table of those powers, built on first use
@@ -61,29 +61,6 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-def _times_xd_minus_one(poly: list[int], d: int) -> list[int]:
-    """poly * (x^d - 1)."""
-    out = [0] * d + poly
-    for i, c in enumerate(poly):
-        out[i] -= c
-    return out
-
-
-def _div_xd_minus_one(poly: list[int], d: int) -> list[int]:
-    """The exact quotient q = poly / (x^d - 1), by q_i = q_(i-d) - a_i;
-    ArithmeticError if the remainder is nonzero."""
-    n = len(poly) - d
-    if n < 1:
-        raise ArithmeticError("non-exact cyclotomic division")
-    q = []
-    for i in range(n):
-        q.append((q[i - d] if i >= d else 0) - poly[i])
-    if any(poly[i] != (q[i - d] if i >= d else 0)
-           for i in range(n, n + d)):
-        raise ArithmeticError("non-exact cyclotomic division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def _moebius_strides(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(phi(n), up, down): the d | n with n/d squarefree, split by
@@ -101,16 +78,19 @@ def _moebius_strides(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of Phi_n, from the Moebius product
-    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): multiply by the factors with
-    mu = +1, then divide exactly by those with mu = -1."""
+    """Coefficients (ascending) of Phi_n.
+
+    For n > 1, Phi_n = prod_up (1 - x^d) / prod_down (1 - x^d)
+    (``_moebius_strides``), a polynomial of degree phi(n), so the stride
+    passes that reduction takes, run on 1 mod x^(phi(n) + 1), give it
+    exactly.
+    """
     _check_order(n)
-    _, up, down = _moebius_strides(n)
-    poly = [1]
-    for d in up:
-        poly = _times_xd_minus_one(poly, d)
-    for d in down:
-        poly = _div_xd_minus_one(poly, d)
+    if n == 1:
+        return (-1, 1)
+    deg, up, down = _moebius_strides(n)
+    poly = [1] + [0] * deg
+    _stride_passes(poly, up, down)
     return tuple(poly)
 
 

@@ -2,8 +2,6 @@
 
 Conventions used throughout the package:
 
-* ``Rational`` is :class:`fractions.Fraction` (always lowest terms,
-  positive denominator, exact arithmetic).
 * ``b'`` denotes the inverse of ``b`` modulo ``r``; the residue of a
   rational ``a/b`` modulo ``r`` is ``a * b' mod r``, which is independent
   of the chosen representation of ``a/b``.  Residues are plain ints in
@@ -19,8 +17,6 @@ from fractions import Fraction
 
 from .errors import (EvenInput, EvenModulus, NonPositiveModulus, NonPositiveP,
                      NotCoprime)
-
-Rational = Fraction
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -71,7 +67,7 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def rational_mod(x: Rational | int, r: int) -> int:
+def rational_mod(x: Fraction | int, r: int) -> int:
     """The residue a*b' mod r of x = a/b in [0, r), for gcd(b, r) = 1.
 
     Well-defined on the value of x: equal fractions with denominators
@@ -107,7 +103,7 @@ def bezout_pair(u: int, v: int) -> tuple[int, int]:
     return u_prime, v_prime
 
 
-def sawtooth(x: Rational | int) -> Fraction:
+def sawtooth(x: Fraction | int) -> Fraction:
     """((x)) = x - floor(x) - 1/2 for non-integral x, else 0."""
     x = Fraction(x)
     if x.denominator == 1:

@@ -56,10 +56,6 @@ class FormalSeries:
 
     coeffs: tuple[Fraction, ...]
 
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs)
-
     @classmethod
     def from_list(cls, values) -> "FormalSeries":
         return cls(tuple(Fraction(v) for v in values))

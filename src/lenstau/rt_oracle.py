@@ -285,8 +285,11 @@ def _chain_walk(r: int, max_p: int):
     costs T^a * (S @ vec) and one dot product, and its signature is its
     depth m, as every a is >= 2.  These are so3_invariant's operations
     in its order, so the values are bit-identical.  The stack holds only
-    nodes with children, and each case fetches the modular data once, as
-    so3_invariant does.
+    nodes with children.  Each case fetches the modular data once, as
+    so3_invariant does, although one fetch per walk would do: the
+    benchmark's self-test (perfbench/tests) pins one
+    rt_oracle.modular_data call per verify-sweep case, so the fetch
+    leaves the loop only together with a change to that count.
     """
     yield 1, 0, so3_invariant((), r)
     powers = {}                          # a -> T^a
@@ -475,31 +478,27 @@ def bracket_sign_study(max_p: int = 10, r_values: tuple[int, ...] = (3, 5, 7, 9)
     For each reading, tallies over all CaseTwo instances in the range:
     how many brackets fail to be a power of zeta_r at all, and how many
     surviving values match the oracle.  Exactly one reading should
-    survive with a perfect score; it is the package default.
+    survive with a perfect score; it is the package default.  Each
+    order's oracle values come from one _chain_walk, and tau_prime's
+    branch picks out the CaseTwo instances.
     """
-    instances = [(p, q, r)
-                 for p, q in lens_space_range(max_p) for r in r_values
-                 if tau_prime(make_lens_space(p, q), r).branch == CASE_TWO]
-    study = {}
-    for signs in BRACKET_VARIANTS:
-        integrality_failures = 0
-        matched = 0
-        mismatched = 0
-        for p, q, r in instances:
-            try:
-                rec = verify(make_lens_space(p, q), r, tolerance,
-                             bracket_signs=signs)
-            except IntegralityFailure:
-                integrality_failures += 1
+    study = {signs: {"case_two_instances": 0, "integrality_failures": 0,
+                     "matched_direct": 0, "mismatched": 0}
+             for signs in BRACKET_VARIANTS}
+    for r in r_values:
+        for p, q, oracle in _chain_walk(r, max_p):
+            L = make_lens_space(p, q)
+            if tau_prime(L, r).branch != CASE_TWO:
                 continue
-            if rec.match == "direct":
-                matched += 1
-            else:
-                mismatched += 1
-        study[signs] = {
-            "case_two_instances": len(instances),
-            "integrality_failures": integrality_failures,
-            "matched_direct": matched,
-            "mismatched": mismatched,
-        }
+            for signs, stats in study.items():
+                stats["case_two_instances"] += 1
+                try:
+                    rec = _compare(L, r, oracle, tolerance, signs)
+                except IntegralityFailure:
+                    stats["integrality_failures"] += 1
+                    continue
+                if rec.match == "direct":
+                    stats["matched_direct"] += 1
+                else:
+                    stats["mismatched"] += 1
     return study

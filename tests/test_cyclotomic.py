@@ -113,7 +113,8 @@ def fraction_reduce(coeffs, n):
 class TestIntegerCore:
     """Integer numerators over one common denominator."""
 
-    @pytest.mark.parametrize("n", (*range(1, 301), 891, 1225, 4620, 4995))
+    @pytest.mark.parametrize("n", (*range(1, 301), 401, 891, 1225, 3465,
+                                   4095, 4620, 4995))
     def test_phi_matches_sympy(self, n):
         specialpolys = pytest.importorskip("sympy.polys.specialpolys")
         ref = specialpolys.cyclotomic_poly(n, polys=True).all_coeffs()[::-1]

@@ -347,21 +347,16 @@ class TestGaussQuotientSuffixSum:
 def test_invariant_guards_raise_under_optimize():
     """The typed checks that replaced asserts still run under python -O."""
     code = textwrap.dedent("""
-        from lenstau.cyclotomic import _div_xd_minus_one
         from lenstau.errors import IntegralityFailure
         from lenstau.lens_invariants import LensSpace, _branch_eta
 
         assert False, "assertions must be disabled"
-        for call, error in (
-                (lambda: _branch_eta(LensSpace(4, 1, 1, 0), 2),
-                 IntegralityFailure),
-                (lambda: _div_xd_minus_one([1, 0, 1], 1),
-                 ArithmeticError)):
-            try:
-                call()
-            except error:
-                continue
-            raise SystemExit(f"no {error.__name__} raised")
+        try:
+            _branch_eta(LensSpace(4, 1, 1, 0), 2)
+        except IntegralityFailure:
+            pass
+        else:
+            raise SystemExit("no IntegralityFailure raised")
     """)
     src = str(Path(lenstau.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

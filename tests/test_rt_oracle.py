@@ -718,3 +718,40 @@ class TestBracketSignStudy:
         for signs in [(-1, 1), (1, -1)]:
             assert study[signs]["integrality_failures"] == \
                 study[signs]["case_two_instances"]
+
+    def test_pinned_counts(self):
+        study = bracket_sign_study(30, (3, 5, 7, 9, 11, 13, 15))
+        assert study == {
+            (-1, -1): {"case_two_instances": 254, "integrality_failures": 0,
+                       "matched_direct": 254, "mismatched": 0},
+            (1, 1): {"case_two_instances": 254, "integrality_failures": 0,
+                     "matched_direct": 104, "mismatched": 150},
+            (-1, 1): {"case_two_instances": 254, "integrality_failures": 254,
+                      "matched_direct": 0, "mismatched": 0},
+            (1, -1): {"case_two_instances": 254, "integrality_failures": 254,
+                      "matched_direct": 0, "mismatched": 0},
+        }
+
+    def test_matches_per_case_verify(self):
+        # the tallies of one verify call per CaseTwo case and reading
+        max_p, r_values = 10, (21, 25, 27, 33, 45, 101)
+        cases = [(make_lens_space(p, q), r)
+                 for p, q in lens_space_range(max_p) for r in r_values]
+        cases = [(L, r) for L, r in cases
+                 if lens_invariants.tau_prime(L, r).branch
+                 == lens_invariants.CASE_TWO]
+        expected = {}
+        for signs in lens_invariants.BRACKET_VARIANTS:
+            stats = expected[signs] = {
+                "case_two_instances": len(cases), "integrality_failures": 0,
+                "matched_direct": 0, "mismatched": 0}
+            for L, r in cases:
+                try:
+                    rec = verify(L, r, bracket_signs=signs)
+                except IntegralityFailure:
+                    stats["integrality_failures"] += 1
+                    continue
+                stats["matched_direct" if rec.match == "direct"
+                      else "mismatched"] += 1
+        assert expected[BRACKET_CALIBRATED]["case_two_instances"] > 0
+        assert bracket_sign_study(max_p, r_values) == expected
