@@ -5,8 +5,10 @@ verify.  Exact values are printed losslessly (rationals as
 numerator/denominator pairs, cyclotomic values as {order, coeffs});
 numeric values carry the tolerance in force.  Identical flags produce
 byte-identical JSON.  main() may be called repeatedly in one process:
-every call reuses one parser, and plain text is rendered only for
---format plain.
+the parsers are built once, a request naming a known command is parsed
+by that command's parser alone, and plain text is rendered only for
+--format plain.  JSON is the standard encoder's sorted-key output, with
+exact values rendered straight from their integer numerators.
 
 Only cf, oracle and verify use the numeric oracle, so only they import
 `rt_oracle` (and with it numpy), on their first call; the exact
@@ -51,18 +53,32 @@ def _rational_pair(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
+# A record is built fresh from dicts, lists and scalars on every call, so
+# it cannot hold a cycle and the encoder skips its per-container check.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def _emit(record: dict, fmt: str, plain_lines) -> None:
     """Print the record as JSON, or the lines plain_lines() returns.
 
-    Exact values print in full: the limit on int-to-str digits (4300 by
-    default since Python 3.10.7) is lifted while the record is rendered.
+    The JSON is what ``json.dumps(record, sort_keys=True)`` would print
+    with each exact value replaced by its ``to_dict()``: the keys are
+    joined in sorted order, an exact value renders through
+    ``Cyclotomic.to_json`` and everything else through one shared
+    encoder.  Exact values print in full: the limit on int-to-str digits
+    (4300 by default since Python 3.10.7) is lifted while the record is
+    rendered.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            print(json.dumps(record, sort_keys=True))
+            fields = [f"{_encode(key)}: {value.to_json()}"
+                      if isinstance(value, Cyclotomic)
+                      else f"{_encode(key)}: {_encode(value)}"
+                      for key, value in sorted(record.items())]
+            print("{" + ", ".join(fields) + "}")
         else:
             for line in plain_lines():
                 print(line)
@@ -80,9 +96,13 @@ def _plain_complex(z: dict) -> str:
 
 
 def _exact_fields(value: Cyclotomic) -> dict:
-    """The exact value, its embedding and the embedding's error bound."""
+    """The exact value, its embedding and the embedding's error bound.
+
+    The value goes into the record as it is; ``_emit`` renders it from
+    its numerators, and plain text never reads it from the record.
+    """
     return {
-        "value": value.to_dict(),
+        "value": value,
         "numeric": _complex_dict(value.to_complex()),
         "numeric_tolerance": EMBED_TOL,
     }
@@ -274,6 +294,7 @@ def build_parser() -> _Parser:
 
     parser = _Parser(prog="lenstau", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices     # command name -> its own parser
 
     def command(name, func, about, *parents) -> _Parser:
         p = sub.add_parser(name, help=about, parents=[*parents, fmt])
@@ -319,8 +340,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one request.  A known command is parsed by its own parser
+    alone, and arguments it leaves over are refused as the top-level
+    parser refuses them; anything else goes through the top-level
+    parser."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

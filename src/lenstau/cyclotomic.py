@@ -220,6 +220,20 @@ class Cyclotomic:
                 pairs.append([c // g, den // g])
         return {"order": self.order, "coeffs": pairs}
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, rendered from
+        ``nums`` without building the pairs as lists."""
+        den = self.den
+        if den == 1:
+            coeffs = "[" + ", 1], [".join(map(str, self.nums)) + ", 1]"
+        else:
+            pairs = []
+            for c in self.nums:
+                g = math.gcd(c, den)
+                pairs.append(f"[{c // g}, {den // g}]")
+            coeffs = ", ".join(pairs)
+        return f'{{"coeffs": [{coeffs}], "order": {self.order}}}'
+
     @classmethod
     def from_dict(cls, data: dict) -> "Cyclotomic":
         return cls(data["order"],

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lenstau
 from lenstau import ohtsuki as oh
-from lenstau.cli import _parse_r_list, build_parser, main
+from lenstau.cli import _Parser, _emit, _parse_r_list, build_parser, main
 from lenstau.cyclotomic import Cyclotomic, gauss_sum
 from lenstau.errors import EvenOrder, InvalidOption, OrderOne
 from lenstau.lens_invariants import make_lens_space
@@ -134,6 +135,22 @@ class TestOhtsuki:
                     [last.numerator, last.denominator]
             else:
                 assert out.splitlines()[-1] == f"  lambda_119 = {last}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("den", [1, 7 ** 20])
+    def test_exact_value_past_the_int_digit_limit(self, capsys, den):
+        big = 10 ** 4999 + 3
+        value = Cyclotomic(15, [big, 0, -big, Fraction(1, 9)], den)
+        limit = sys.get_int_max_str_digits()
+        _emit({"value": value}, "json", None)
+        out, _ = capsys.readouterr()
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(big)) == 5000
+            assert out == json.dumps({"value": value.to_dict()},
+                                     sort_keys=True) + "\n"
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -266,6 +283,17 @@ class TestDeterminism:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("argv", [
+        # Case One, Zero and Case Two at r = 891
+        *([cmd, "--p", p, "--q", q, "--r", "891"]
+          for cmd in ("tau-prime", "xi")
+          for p, q in (("1418", "213"), ("45", "2"), ("252", "181"))),
+        ["gauss", "--c", "891"]])
+    def test_json_is_the_standard_encoders(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
     def test_keys_sorted(self, capsys):
         _, out, _ = run(capsys, "tau-prime", "--p", "3", "--q", "1",
                         "--r", "5", "--format", "json")
@@ -278,7 +306,27 @@ class TestBadFlags:
         assert run(capsys, "frobnicate")[0] == 1
 
     def test_missing_flag(self, capsys):
-        assert run(capsys, "tau-prime", "--p", "2", "--q", "1")[0] == 1
+        assert run(capsys, "tau-prime", "--p", "2", "--q", "1") == (
+            1, "", "lenstau tau-prime: error: the following arguments are "
+                    "required: --r\n")
+
+    @pytest.mark.parametrize("extra", [["--bogus", "x"], ["--", "x"]])
+    def test_unrecognized_arguments(self, capsys, extra):
+        assert run(capsys, "tau-prime", "--p", "2", "--q", "1", "--r", "5",
+                   *extra) == (1, "", "lenstau: error: unrecognized "
+                               f"arguments: {' '.join(extra)}\n")
+
+    def test_no_command(self, capsys):
+        assert run(capsys) == (1, "", "lenstau: error: the following "
+                               "arguments are required: command\n")
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: lenstau [-h]"),
+        (["tau-prime", "-h"], "usage: lenstau tau-prime [-h]")])
+    def test_help(self, capsys, argv, usage):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
 
     def test_bad_max_p(self, capsys):
         assert run(capsys, "verify", "--max-p", "0", "--r", "3")[0] == 1
@@ -346,6 +394,28 @@ class TestBadFlags:
 class TestOneProcess:
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_command_parsed_by_its_own_parser(self, capsys, monkeypatch):
+        # a known command is parsed once, by the same parser on every call
+        parsed = []
+        parse = _Parser.parse_known_args
+
+        def record(self, *args, **kwargs):
+            parsed.append(self)
+            return parse(self, *args, **kwargs)
+        monkeypatch.setattr(_Parser, "parse_known_args", record)
+        for argv in (["tau-prime", "--p", "5", "--q", "1", "--r", "5"],
+                     ["xi", "--p", "7", "--q", "3", "--r", "9"],
+                     ["gauss", "--c", "15"],
+                     ["ohtsuki", "--p", "3", "--q", "1"]):
+            seen = []
+            for _ in range(2):
+                parsed.clear()
+                assert run(capsys, *argv)[0] == 0
+                seen += parsed
+            assert len(seen) == 2 and seen[0] is seen[1]
+            assert seen[0] is not build_parser()
+            assert seen[0].prog == f"lenstau {argv[0]}"
 
     def test_json_renders_no_plain_text(self, capsys, monkeypatch):
         class Rendered(Exception):

@@ -1,12 +1,14 @@
 """Property tests at random coprime (p, q), p <= 200, and odd r <= 45,
 of the reduction modulo Phi_n on random integer vectors, of subfield
-descent and hashing against the Galois conjugates at n <= 420, and of
-the Ohtsuki coefficients' reduction at smooth and large p.
+descent and hashing against the Galois conjugates at n <= 420, of the
+Ohtsuki coefficients' reduction at smooth and large p, and of the JSON
+rendering of exact values at n <= 105.
 
 Derandomized with a fixed number of examples, so every run checks the
 same cases.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (example, given, settings,  # noqa: E402
+                        strategies as st)
 
 from lenstau import rt_oracle  # noqa: E402
 from lenstau.cyclotomic import (Cyclotomic, _reduce, degree,  # noqa: E402
@@ -22,7 +25,7 @@ from lenstau.cyclotomic import (Cyclotomic, _reduce, degree,  # noqa: E402
 from lenstau.errors import NotInSubfield  # noqa: E402
 from lenstau.lens_invariants import (BRACKET_CALIBRATED,  # noqa: E402
                                      _twelve_s_times_p, make_lens_space,
-                                     tau_prime, tau_prime_via_galois)
+                                     tau_prime, tau_prime_via_galois, xi_r)
 from lenstau.ohtsuki import (_from_coprime,  # noqa: E402
                              _over_falling_denominators, ohtsuki_tau)
 from lenstau.rt_oracle import (continued_fraction,  # noqa: E402
@@ -82,6 +85,39 @@ def test_reduce_matches_reference(n, stretch, density, bound, seed):
     reduced = _reduce(coeffs, n)
     assert len(reduced) == degree(n)
     assert list(reduced) == fraction_reduce(coeffs, n)
+
+
+def json_reference(x: Cyclotomic) -> str:
+    """The CLI's JSON for an exact value: its ``to_dict()``, keys sorted."""
+    return json.dumps(x.to_dict(), sort_keys=True)
+
+
+coefficients = st.one_of(st.integers(-10**30, 10**30),
+                         st.fractions(max_denominator=10**6))
+
+
+@EXAMPLES
+@given(st.integers(1, 105), st.lists(coefficients, max_size=210),
+       st.integers(1, 10**6))
+@example(1, [], 1)                              # zero
+@example(1, [Fraction(-7, 3)], 1)               # order 1
+@example(105, [-5, 0, -1, 0, 3], 1)             # negative, den 1
+@example(105, [-5, Fraction(3, 4), 0, -1], 6)   # negative, den > 1
+def test_to_json_is_json_of_to_dict(n, coeffs, den):
+    x = Cyclotomic(n, coeffs, den)
+    assert x.to_json() == json_reference(x)
+
+
+# the tau-prime and xi values of the seed-0 exact-value benchmark at
+# r = 891 and 401: Case One, Zero and Case Two at each order
+@pytest.mark.parametrize("invariant", [
+    lambda L, r: tau_prime(L, r).value, xi_r])
+@pytest.mark.parametrize("p, q, r", [
+    (1418, 213, 891), (45, 2, 891), (252, 181, 891),
+    (1074, 293, 401), (7218, 4225, 401), (1604, 801, 401)])
+def test_to_json_at_large_orders(invariant, p, q, r):
+    x = invariant(make_lens_space(p, q), r)
+    assert x.to_json() == json_reference(x)
 
 
 @st.composite
