@@ -12,9 +12,7 @@ exact values rendered straight from their integer numerators.
 
 Only cf, oracle and verify use the numeric oracle, so only they import
 `rt_oracle` (and with it numpy), on their first call; the exact
-commands never load numpy.
-
-Exit codes: 0 success, 1 invalid input, 2 verification failure.
+commands never load numpy.  Exit codes: see build_parser.
 """
 
 from __future__ import annotations
@@ -229,11 +227,7 @@ _CONVENTION_NOTE = (
 
 def cmd_verify(args) -> int:
     from . import rt_oracle as rt
-    if args.max_p < 1:
-        raise InvalidOption(f"--max-p must be >= 1, got {args.max_p}")
-    if not 0 < args.tolerance < 1:
-        raise InvalidOption(
-            f"--tolerance must be positive and below 1, got {args.tolerance:g}")
+    rt._check_bounds(args.tolerance, args.max_p)  # the library's rule first
     if args.jobs < 0:
         raise InvalidOption(f"--jobs must be >= 0, got {args.jobs}")
     r_values = _parse_r_list(args.r)
@@ -292,7 +286,9 @@ def build_parser() -> _Parser:
     order = argparse.ArgumentParser(add_help=False)
     order.add_argument("--r", type=int, required=True)
 
-    parser = _Parser(prog="lenstau", description=__doc__)
+    parser = _Parser(prog="lenstau", description=(
+        "Exact lens space invariants and a numeric check.  Exit codes: "
+        "0 success, 1 invalid input, 2 verification failure."))
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices     # command name -> its own parser
 

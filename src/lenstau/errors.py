@@ -38,7 +38,7 @@ class TermsOutOfRange(ValueError):
 
 
 class InvalidOption(ValueError):
-    """A command-line option has a value the command cannot use."""
+    """A bad option value; the library raises it too, naming the CLI flag."""
 
 
 class NotInSubfield(ValueError):

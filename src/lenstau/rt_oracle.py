@@ -209,20 +209,20 @@ class VerifyRecord(NamedTuple):
     bound: float          # tolerance * max(1, |formula|)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "branch": self.branch,
-            "match": self.match,
-            "abs_error": self.abs_error,
-            "formula_value": {"re": self.formula_value.real,
-                              "im": self.formula_value.imag},
-            "oracle_value": {"re": self.oracle_value.real,
-                             "im": self.oracle_value.imag},
-            "tolerance": self.tolerance,
-            "bound": self.bound,
-        }
+        fields = self._asdict()
+        for key in ("formula_value", "oracle_value"):
+            fields[key] = {"re": fields[key].real, "im": fields[key].imag}
+        return fields
+
+
+def _check_bounds(tolerance: float, max_p: int = 1) -> None:
+    """The verify family's value rule, in the CLI's words: max_p >= 1 and
+    0 < tolerance < 1, since a bound of 1 or more matches every case."""
+    if max_p < 1:
+        raise InvalidOption(f"--max-p must be >= 1, got {max_p}")
+    if not 0 < tolerance < 1:
+        raise InvalidOption("--tolerance must be positive and below 1, "
+                            f"got {float(tolerance):g}")
 
 
 def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
@@ -234,10 +234,11 @@ def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
     orientation conventions); a mismatch is reported as data, not
     raised.  The tolerance is relative: an error counts up to the
     record's bound, tolerance * max(1, |formula|), since the oracle's
-    rounding error grows with the size of the value.  The value is
-    built and embedded for this call alone; sweep_verify shares both
-    among the cases of an order.
+    rounding error grows with the size of the value; one outside (0, 1)
+    raises InvalidOption.  The value is built and embedded for this call
+    alone; sweep_verify shares both among the cases of an order.
     """
+    _check_bounds(tolerance)
     oracle = so3_invariant(continued_fraction(L.p, L.q), r)
     return _compare(L, r, oracle, tolerance, bracket_signs)
 
@@ -411,9 +412,10 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
                  jobs: int = 1) -> list[VerifyRecord]:
     """Run verify over every coprime (p, q), p <= max_p, for each r.
 
-    Every order is checked before any work starts (_check_orders).  One
-    order is one unit of work (_verify_order): one depth-first walk of
-    its chain tree, one contraction step per case.  The sweep runs in
+    max_p >= 1 and the tolerance (as in verify), and every order
+    (_check_orders), are checked before any work starts.  One order is
+    one unit of work (_verify_order): one depth-first walk of its chain
+    tree, one contraction step per case.  The sweep runs in
     min(jobs, usable_cpus(), len(r_values)) processes, the caller
     included.  The orders are dealt largest (costliest) first, round
     robin, into that many shares.  The caller runs share 0 itself, and
@@ -423,6 +425,7 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
     running when the call returns or raises.  Results are sorted by
     (p, q, r) regardless of scheduling.
     """
+    _check_bounds(tolerance, max_p)
     _check_orders(r_values)
     procs = max(1, min(jobs, usable_cpus(), len(r_values)))
     largest_first = sorted(r_values, reverse=True)
@@ -480,8 +483,9 @@ def bracket_sign_study(max_p: int = 10, r_values: tuple[int, ...] = (3, 5, 7, 9)
     surviving values match the oracle.  Exactly one reading should
     survive with a perfect score; it is the package default.  Each
     order's oracle values come from one _chain_walk, and tau_prime's
-    branch picks out the CaseTwo instances.
+    branch picks out the CaseTwo instances.  Bounds as in sweep_verify.
     """
+    _check_bounds(tolerance, max_p)
     study = {signs: {"case_two_instances": 0, "integrality_failures": 0,
                      "matched_direct": 0, "mismatched": 0}
              for signs in BRACKET_VARIANTS}

@@ -390,6 +390,28 @@ class TestBadFlags:
         assert code == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--max-p", "0", "--tolerance", "2", "--jobs", "-1", "--r", "x"],
+         "--max-p must be >= 1, got 0"),
+        (["--max-p", "3", "--tolerance", "2", "--jobs", "-1", "--r", "x"],
+         "--tolerance must be positive and below 1, got 2"),
+        (["--max-p", "3", "--jobs", "-1", "--r", "x"],
+         "--jobs must be >= 0, got -1"),
+        (["--max-p", "3", "--r", "x"], "cannot parse r list 'x'")])
+    def test_verify_error_order(self, capsys, argv, err):
+        # several bad flags: the first in this order is the one reported
+        assert run(capsys, "verify", *argv) == (
+            1, "", f"lenstau: error: {err}\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_is_fixed(self, capsys, flag):
+        code, out, _ = run(capsys, flag)
+        assert code == 0
+        assert "Command-line front end." not in out
+        assert " ".join(out.split()).count(
+            "Exact lens space invariants and a numeric check. Exit codes: "
+            "0 success, 1 invalid input, 2 verification failure.") == 1
+
 
 class TestOneProcess:
     def test_parser_built_once(self):

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import signal
 import time
 from fractions import Fraction
@@ -498,6 +499,90 @@ class TestVerify:
         records = sweep_verify(4, [5], tolerance=1e-30)
         summary = summarize(records)
         assert not summary["consistent"]
+
+
+class TestVerifyBounds:
+    """The library refuses the max_p and tolerance values the CLI
+    refuses, with the CLI's text, before any work starts."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: sweep_verify(0, [3]),
+        lambda: bracket_sign_study(0, (3,))],
+        ids=["sweep_verify", "bracket_sign_study"])
+    def test_max_p_below_one(self, call):
+        with pytest.raises(InvalidOption,
+                           match=r"^--max-p must be >= 1, got 0$"):
+            call()
+
+    @pytest.mark.parametrize("t", [0, -1, 1, 2, math.nan, math.inf, 1e308,
+                                   Fraction(3, 2)])
+    @pytest.mark.parametrize("call", [
+        lambda t: verify(make_lens_space(2, 1), 3, tolerance=t),
+        lambda t: sweep_verify(2, [3], tolerance=t),
+        lambda t: bracket_sign_study(2, (3,), tolerance=t)],
+        ids=["verify", "sweep_verify", "bracket_sign_study"])
+    def test_tolerance_outside_unit_interval(self, call, t):
+        message = f"--tolerance must be positive and below 1, got {float(t):g}"
+        with pytest.raises(InvalidOption, match=f"^{re.escape(message)}$"):
+            call(t)
+
+    @pytest.mark.parametrize("max_p, t", [(0, 1e-8), (5, math.nan),
+                                          (5, 2.0)])
+    def test_refused_before_any_work(self, monkeypatch, max_p, t):
+        # two CPUs and two orders, so an unchecked sweep would fork
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        run = recording_orders(monkeypatch)
+        with pytest.raises(InvalidOption):
+            sweep_verify(max_p, [3, 5], tolerance=t, jobs=2)
+        assert run == []
+        assert multiprocessing.active_children() == []
+
+
+def reference_dict(rec):
+    """The record's dict written out field by field: the reference that
+    VerifyRecord.to_dict must equal."""
+    return {
+        "p": rec.p,
+        "q": rec.q,
+        "r": rec.r,
+        "branch": rec.branch,
+        "match": rec.match,
+        "abs_error": rec.abs_error,
+        "formula_value": {"re": rec.formula_value.real,
+                          "im": rec.formula_value.imag},
+        "oracle_value": {"re": rec.oracle_value.real,
+                         "im": rec.oracle_value.imag},
+        "tolerance": rec.tolerance,
+        "bound": rec.bound,
+    }
+
+
+class TestRecordDict:
+    """to_dict derives from the record's own fields and matches the
+    field-by-field dict: keys in order, and each float as it is (repr
+    tells -0.0 from 0.0 and compares NaN)."""
+
+    @staticmethod
+    def check(rec):
+        data, ref = rec.to_dict(), reference_dict(rec)
+        assert list(data) == list(ref)
+        assert repr(data) == repr(ref)
+
+    def test_sweep_records(self):
+        records = sweep_verify(12, [3, 5, 7, 9])
+        assert len(records) == 4 * len(list(lens_space_range(12)))
+        for rec in records:
+            self.check(rec)
+
+    @pytest.mark.parametrize("formula, oracle, error, bound", [
+        (complex(math.nan, -0.0), complex(math.inf, -math.inf),
+         math.nan, math.inf),
+        (complex(-0.0, math.nan), complex(0.0, -0.0), -0.0, math.nan),
+        (complex(-math.inf, 1.5), complex(math.nan, math.nan),
+         math.inf, 0.0)])
+    def test_special_floats(self, formula, oracle, error, bound):
+        self.check(rt_oracle.VerifyRecord(7, 2, 5, "CaseOne", "none", error,
+                                          formula, oracle, 1e-8, bound))
 
 
 class TestSweepMemo:
