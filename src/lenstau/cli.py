@@ -244,8 +244,8 @@ def cmd_verify(args) -> int:
     if args.per_case:
         record["cases"] = [rec.to_dict() for rec in records]
     if args.sign_study:
-        study = rt.bracket_sign_study(min(args.max_p, 10),
-                                      tuple(r_values), args.tolerance)
+        study = rt._sign_tally([rec for rec in records if rec.p <= 10],
+                               args.tolerance)
         record["sign_study"] = {
             f"({s12},{srest})": stats for (s12, srest), stats in study.items()
         }

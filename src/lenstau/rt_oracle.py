@@ -474,6 +474,26 @@ def summarize(records: list[VerifyRecord]) -> dict:
     }
 
 
+def _sign_tally(records: list[VerifyRecord], tolerance: float) -> dict:
+    """bracket_sign_study's tallies over the records of a sweep."""
+    cases = [(make_lens_space(rec.p, rec.q), rec.r, rec.oracle_value)
+             for rec in records if rec.branch.startswith(CASE_TWO)]
+    study = {}
+    for signs in BRACKET_VARIANTS:
+        stats = study[signs] = {"case_two_instances": len(cases),
+                                "integrality_failures": 0,
+                                "matched_direct": 0, "mismatched": 0}
+        for L, r, oracle in cases:
+            try:
+                match = _compare(L, r, oracle, tolerance, signs).match
+            except IntegralityFailure:
+                stats["integrality_failures"] += 1
+            else:
+                stats["matched_direct" if match == "direct"
+                      else "mismatched"] += 1
+    return study
+
+
 def bracket_sign_study(max_p: int = 10, r_values: tuple[int, ...] = (3, 5, 7, 9),
                        tolerance: float = 1e-8) -> dict:
     """Compare every bracket sign reading against the oracle.
@@ -481,28 +501,8 @@ def bracket_sign_study(max_p: int = 10, r_values: tuple[int, ...] = (3, 5, 7, 9)
     For each reading, tallies over all CaseTwo instances in the range:
     how many brackets fail to be a power of zeta_r at all, and how many
     surviving values match the oracle.  Exactly one reading should
-    survive with a perfect score; it is the package default.  Each
-    order's oracle values come from one _chain_walk, and tau_prime's
-    branch picks out the CaseTwo instances.  Bounds as in sweep_verify.
+    survive with a perfect score; it is the package default.  The cases
+    and oracle values are sweep_verify's, and max_p, the tolerance and
+    the orders are checked as sweep_verify checks them.
     """
-    _check_bounds(tolerance, max_p)
-    study = {signs: {"case_two_instances": 0, "integrality_failures": 0,
-                     "matched_direct": 0, "mismatched": 0}
-             for signs in BRACKET_VARIANTS}
-    for r in r_values:
-        for p, q, oracle in _chain_walk(r, max_p):
-            L = make_lens_space(p, q)
-            if tau_prime(L, r).branch != CASE_TWO:
-                continue
-            for signs, stats in study.items():
-                stats["case_two_instances"] += 1
-                try:
-                    rec = _compare(L, r, oracle, tolerance, signs)
-                except IntegralityFailure:
-                    stats["integrality_failures"] += 1
-                    continue
-                if rec.match == "direct":
-                    stats["matched_direct"] += 1
-                else:
-                    stats["mismatched"] += 1
-    return study
+    return _sign_tally(sweep_verify(max_p, r_values, tolerance), tolerance)

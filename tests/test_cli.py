@@ -262,6 +262,33 @@ class TestVerify:
             {"(-1,-1)", "(1,1)", "(-1,1)", "(1,-1)"}
         assert record["sign_study"]["(-1,-1)"]["mismatched"] == 0
 
+    def test_sign_study_walks_each_order_once(self, capsys, monkeypatch):
+        # the study tallies the sweep's own records
+        from lenstau import rt_oracle
+        walked, real = [], rt_oracle._chain_walk
+
+        def recording(r, max_p):
+            walked.append(r)
+            return real(r, max_p)
+        monkeypatch.setattr(rt_oracle, "_chain_walk", recording)
+        assert main(["verify", "--max-p", "12", "--r", "3,5,7",
+                     "--sign-study", "--jobs", "1", "--format", "json"]) == 0
+        assert sorted(walked) == [3, 5, 7]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("max_p", [8, 12])
+    def test_sign_study_is_the_library_study(self, capsys, max_p, jobs):
+        # the study reads p <= min(max_p, 10); at --jobs 2 it tallies
+        # records that came back from a worker as rows
+        from lenstau.rt_oracle import bracket_sign_study
+        code, out, _ = run(capsys, "verify", "--max-p", str(max_p),
+                           "--r", "3,5,7,9", "--sign-study", "--jobs", jobs,
+                           "--format", "json")
+        assert code == 0
+        study = bracket_sign_study(min(max_p, 10), (3, 5, 7, 9))
+        assert json.loads(out)["sign_study"] == {
+            f"({s12},{srest})": stats for (s12, srest), stats in study.items()}
+
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):

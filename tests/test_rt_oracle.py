@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import multiprocessing
@@ -58,6 +59,17 @@ def recording_orders(monkeypatch, also=None):
         return real(r, max_p, tolerance)
     monkeypatch.setattr(rt_oracle, "_verify_order", recording)
     return run
+
+
+def recording_walks(monkeypatch):
+    """Record each order _chain_walk is asked to walk, in call order."""
+    walked, real = [], rt_oracle._chain_walk
+
+    def recording(r, max_p):
+        walked.append(r)
+        return real(r, max_p)
+    monkeypatch.setattr(rt_oracle, "_chain_walk", recording)
+    return walked
 
 
 class CountingS:
@@ -204,6 +216,16 @@ class TestModularData:
             assert s.shape == (n, n)
             assert np.allclose(s @ s.conj().T, np.eye(n), atol=1e-10), r
             assert abs(abs(kappa) - 1) < 1e-12, r
+
+    def test_so3_anomaly_closed_form(self):
+        # kappa is the root of unity exp(i*pi*e/(2r)), e = r - 3 when
+        # r = 3 (mod 4) and 2r - 3 when r = 1 (mod 4); the sum that
+        # defines it stays within 1e-10 of that root
+        for r in [*range(3, 302, 2), 891]:
+            e = r - 3 if r % 4 == 3 else 2 * r - 3
+            kappa = so3_modular_data(r)[2]
+            assert abs(kappa - cmath.exp(1j * math.pi * e / (2 * r))) \
+                < 1e-10, r
 
     def test_so3_needs_odd(self):
         with pytest.raises(EvenOrder):
@@ -789,6 +811,20 @@ class TestChainWalk:
 
 
 class TestBracketSignStudy:
+    @pytest.mark.parametrize("r_values, error, message", [
+        ((5, 5), InvalidOption, "order 5 is listed more than once"),
+        ((5, 5001), OrderOutOfRange, "order 5001 exceeds MAX_ORDER = 5000"),
+        ((4,), EvenOrder, "r must be odd and > 1, got 4")])
+    def test_orders_refused_before_any_walk(self, monkeypatch, r_values,
+                                            error, message):
+        # the sweep's order rule, so a listed order is neither counted
+        # twice nor walked before a later one is refused
+        verified = recording_orders(monkeypatch)
+        walked = recording_walks(monkeypatch)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            bracket_sign_study(10, r_values)
+        assert verified == walked == []
+
     def test_only_calibrated_reading_survives(self):
         study = bracket_sign_study(8, (3, 5, 7, 9))
         stats = study[(-1, -1)]
