@@ -113,8 +113,6 @@ def _parse_r_list(text: str) -> list[int]:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise InvalidOption(f"cannot parse r list {text!r}")
-    if not values:
-        raise InvalidOption("empty r list")
     _check_orders(values)
     return values
 

@@ -343,7 +343,9 @@ def usable_cpus() -> int:
 
 def _check_orders(r_values: list[int]) -> None:
     """Refuse an order the sweep cannot run, before any work starts:
-    each must be odd, > 1, at most MAX_ORDER and listed once."""
+    at least one, each odd, > 1, at most MAX_ORDER and listed once."""
+    if not r_values:
+        raise InvalidOption("empty r list")
     seen = set()
     for r in r_values:
         _check_order(r)

@@ -1,15 +1,15 @@
 import json
-import os
-import subprocess
+import math
+import multiprocessing
 import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import lenstau
+from conftest import run_python, within
 from lenstau import ohtsuki as oh
+from lenstau import rt_oracle
 from lenstau.cli import _Parser, _emit, _parse_r_list, build_parser, main
 from lenstau.cyclotomic import Cyclotomic, gauss_sum
 from lenstau.errors import EvenOrder, InvalidOption, OrderOne
@@ -111,10 +111,30 @@ class TestOhtsuki:
         assert code == 1
 
     def test_terms_above_max_terms(self, capsys):
-        code, _, err = run(capsys, "ohtsuki", "--p", "3", "--q", "1",
-                           "--terms", str(oh.MAX_TERMS + 1))
-        assert code == 1
-        assert "MAX_TERMS" in err
+        for argv in (["--p", "3", "--q", "1", "--terms",
+                      str(oh.MAX_TERMS + 1)],
+                     ["--p", "999983", "--q", "2", "--terms", "1001",
+                      "--format", "json"]):
+            code, _, err = run(capsys, "ohtsuki", *argv)
+            assert code == 1
+            assert "MAX_TERMS" in err
+
+    def test_longest_series_in_lowest_terms(self, capsys):
+        # MAX_TERMS coefficients at a large p, the costliest series request
+        with within(60):
+            code, out, _ = run(capsys, "ohtsuki", "--p", "999983", "--q", "2",
+                               "--terms", "1000", "--format", "json")
+        assert code == 0
+        # the pairs run past the default 4300-digit limit of int()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            pairs = json.loads(out)["lambda"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(pairs) == 1000
+        for k, (n, d) in enumerate(pairs):
+            assert d > 0 and math.gcd(n, d) == 1, f"lambda_{k}"
 
     @pytest.mark.parametrize("fmt", ["json", "plain"])
     def test_coefficients_past_the_int_digit_limit(self, capsys, fmt):
@@ -211,6 +231,23 @@ class TestSmallCommands:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("argv, seconds", [
+        # two workers, and none of them outlives the sweep
+        (["--max-p", "12", "--r", "3,5,7,9", "--jobs", "2", "--format",
+          "json"], 60),
+        # chains of up to 149 terms, about 6.8k cases per order
+        (["--max-p", "150", "--r", "15,45", "--jobs", "1"], 60),
+        # chains of up to 59 terms at a large order: every case must match
+        (["--max-p", "60", "--r", "4995", "--jobs", "1"], 120)],
+        ids=["jobs-2", "deep-walk", "r-4995"])
+    def test_sweep_matches_everywhere(self, capsys, monkeypatch, argv,
+                                      seconds):
+        # two CPUs whatever the host has, so --jobs 2 really forks
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        with within(seconds):
+            assert run(capsys, "verify", *argv)[0] == 0
+        assert multiprocessing.active_children() == []
+
     def test_small_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-p", "4", "--r", "3,5",
                            "--jobs", "1", "--format", "json")
@@ -254,17 +291,24 @@ class TestVerify:
         assert "L(2,1) r=3" in out
 
     def test_sign_study_json(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-p", "5", "--r", "3,5",
-                           "--jobs", "1", "--sign-study", "--format", "json")
-        assert code == 0
-        record = json.loads(out)
-        assert set(record["sign_study"]) == \
-            {"(-1,-1)", "(1,1)", "(-1,1)", "(1,-1)"}
-        assert record["sign_study"]["(-1,-1)"]["mismatched"] == 0
+        # only the calibrated reading matches everywhere, here and in Case
+        # Two at large orders
+        for argv, instances in (
+                (["--max-p", "5", "--r", "3,5", "--jobs", "1"], 4),
+                (["--max-p", "10", "--r", "891,4995"], 16)):
+            with within(60):
+                code, out, _ = run(capsys, "verify", *argv, "--sign-study",
+                                   "--format", "json")
+            assert code == 0
+            study = json.loads(out)["sign_study"]
+            assert set(study) == {"(-1,-1)", "(1,1)", "(-1,1)", "(1,-1)"}
+            assert study["(-1,-1)"] == {
+                "case_two_instances": instances, "integrality_failures": 0,
+                "matched_direct": instances, "mismatched": 0}
+            assert study["(1,1)"]["mismatched"] > 0
 
     def test_sign_study_walks_each_order_once(self, capsys, monkeypatch):
         # the study tallies the sweep's own records
-        from lenstau import rt_oracle
         walked, real = [], rt_oracle._chain_walk
 
         def recording(r, max_p):
@@ -315,11 +359,24 @@ class TestDeterminism:
         *([cmd, "--p", p, "--q", q, "--r", "891"]
           for cmd in ("tau-prime", "xi")
           for p, q in (("1418", "213"), ("45", "2"), ("252", "181"))),
-        ["gauss", "--c", "891"]])
+        ["gauss", "--c", "891"],
+        # the costliest requests: Case Two with c = r near MAX_ORDER, and
+        # MAX_TERMS coefficients at a large p
+        ["tau-prime", "--p", "4995", "--q", "1", "--r", "4995"],
+        ["gauss", "--c", "4995"],
+        ["ohtsuki", "--p", "999983", "--q", "2", "--terms", "1000"]])
     def test_json_is_the_standard_encoders(self, capsys, argv):
-        code, out, _ = run(capsys, *argv, "--format", "json")
+        # 30 s each keeps any four of these within 120 s together
+        with within(30):
+            code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        # the Ohtsuki pairs run past the default 4300-digit limit of int()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_keys_sorted(self, capsys):
         _, out, _ = run(capsys, "tau-prime", "--p", "3", "--q", "1",
@@ -382,7 +439,6 @@ class TestBadFlags:
 
     def test_order_above_max_order_refused_before_work(self, capsys,
                                                        monkeypatch):
-        from lenstau import rt_oracle
         verified = []
         monkeypatch.setattr(rt_oracle, "_verify_order",
                             lambda *args: verified.append(args))
@@ -424,7 +480,8 @@ class TestBadFlags:
          "--tolerance must be positive and below 1, got 2"),
         (["--max-p", "3", "--jobs", "-1", "--r", "x"],
          "--jobs must be >= 0, got -1"),
-        (["--max-p", "3", "--r", "x"], "cannot parse r list 'x'")])
+        (["--max-p", "3", "--r", "x"], "cannot parse r list 'x'"),
+        (["--max-p", "3", "--r", ","], "empty r list")])
     def test_verify_error_order(self, capsys, argv, err):
         # several bad flags: the first in this order is the one reported
         assert run(capsys, "verify", *argv) == (
@@ -483,17 +540,6 @@ class TestOneProcess:
             main(["gauss", "--c", "15"])
 
 
-def fresh_interpreter(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports this lenstau, and
-    return its stdout."""
-    src = str(Path(lenstau.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return proc.stdout
-
-
 ORACLE_MODULES = "[m in sys.modules for m in ('numpy', 'lenstau.rt_oracle')]"
 
 
@@ -501,7 +547,7 @@ class TestColdStart:
     """The exact commands never import the numeric oracle or numpy."""
 
     def test_exact_commands_load_no_numpy(self):
-        out = fresh_interpreter(f"""
+        out = run_python(f"""
             import contextlib, io, json, sys
             import lenstau, lenstau.cli
             for argv in (["tau-prime", "--p", "252", "--q", "181", "--r", "891"],
@@ -522,7 +568,7 @@ class TestColdStart:
         ["oracle", "--p", "7", "--q", "3", "--r", "5"],
         ["verify", "--max-p", "3", "--r", "3", "--jobs", "1"]])
     def test_oracle_commands_load_the_oracle(self, argv):
-        out = fresh_interpreter(f"""
+        out = run_python(f"""
             import contextlib, io, json, sys
             import lenstau.cli
             before = {ORACLE_MODULES}
@@ -533,7 +579,7 @@ class TestColdStart:
         assert json.loads(out) == [0, [False, False], [True, True]]
 
     def test_package_names(self):
-        out = fresh_interpreter(f"""
+        out = run_python(f"""
             import json, sys
             import lenstau
             listed = set(lenstau.__all__) <= set(dir(lenstau))
@@ -553,6 +599,5 @@ class TestColdStart:
                                    [], True]
 
     def test_oracle_names_follow_rt_oracle(self, monkeypatch):
-        from lenstau import rt_oracle
         monkeypatch.setattr(rt_oracle, "verify", lambda *args: None)
         assert lenstau.verify is rt_oracle.verify

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import lenstau.cyclotomic as cyc
+from conftest import within
 from lenstau.cyclotomic import (Cyclotomic, cyclotomic_polynomial, degree,
                                 gauss_sum, root_of_unity)
 from lenstau.errors import (EvenInput, NotCoprime, NotInSubfield,
@@ -373,9 +374,10 @@ class TestLiftDescend:
         rng = random.Random(n)
         y = Cyclotomic(d, [rng.randrange(-3, 4) for _ in range(degree(d))],
                        den=7)
-        assert y.lift(n).descend(d) == y
-        with pytest.raises(NotInSubfield):
-            (y.lift(n) + root_of_unity(n, 1)).descend(d)
+        with within(60):
+            assert y.lift(n).descend(d) == y
+            with pytest.raises(NotInSubfield):
+                (y.lift(n) + root_of_unity(n, 1)).descend(d)
 
     def test_as_rational_of_irrational(self):
         assert Cyclotomic(7, [Fraction(2, 3)]).as_rational() == Fraction(2, 3)

@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import lenstau
+from conftest import run_python
 from lenstau import cyclotomic
 from lenstau import lens_invariants
 from lenstau.cyclotomic import Cyclotomic, gauss_sum, root_of_unity
@@ -337,16 +332,21 @@ class TestGaussQuotientSuffixSum:
                     == double_loop_gauss_quotient(891, c, -1, 300, h)), h
 
     def test_max_order_worst_case(self):
-        # Case 2 with c = r at an order near MAX_ORDER.
-        L = make_lens_space(4995, 1)
-        result = tau_prime(L, 4995)
-        assert (result.branch, result.c) == (CASE_TWO, 4995)
-        assert result.value == tau_prime_via_galois(L, 4995)
+        # Dense Case One and Case Two values at large composite orders,
+        # where Phi_r has 343, 423 and 177 nonzero coefficients; p = r is
+        # Case 2 with c = r, and r = 4995 is near MAX_ORDER.
+        for r in (3465, 4095, 4995):
+            for p, branch in ((r - 2, CASE_ONE), (r, CASE_TWO),
+                              (5, CASE_TWO)):
+                L = make_lens_space(p, 1)
+                result = tau_prime(L, r)
+                assert (result.branch, result.c) == (branch, math.gcd(p, r))
+                assert result.value == tau_prime_via_galois(L, r), (p, r)
 
 
 def test_invariant_guards_raise_under_optimize():
     """The typed checks that replaced asserts still run under python -O."""
-    code = textwrap.dedent("""
+    run_python("""
         from lenstau.errors import IntegralityFailure
         from lenstau.lens_invariants import LensSpace, _branch_eta
 
@@ -357,9 +357,4 @@ def test_invariant_guards_raise_under_optimize():
             pass
         else:
             raise SystemExit("no IntegralityFailure raised")
-    """)
-    src = str(Path(lenstau.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    """, "-O")

@@ -480,7 +480,8 @@ class TestVerify:
         ([3, 5001], OrderOutOfRange, "exceeds MAX_ORDER"),
         ([3, 5, 3], InvalidOption, "order 3 is listed more than once"),
         ([3, 4], EvenOrder, "r must be odd and > 1"),
-        ([3, 1], OrderOne, "r must be odd and > 1")])
+        ([3, 1], OrderOne, "r must be odd and > 1"),
+        ([], InvalidOption, "empty r list")])
     def test_orders_checked_before_any_work(self, monkeypatch,
                                             in_process_workers, r_values,
                                             error, message):
@@ -528,25 +529,27 @@ class TestVerifyBounds:
     refuses, with the CLI's text, before any work starts."""
 
     @pytest.mark.parametrize("call", [
-        lambda: sweep_verify(0, [3]),
+        lambda: sweep_verify(0, [3, 5], jobs=2),
         lambda: bracket_sign_study(0, (3,))],
         ids=["sweep_verify", "bracket_sign_study"])
     def test_max_p_below_one(self, call):
         with pytest.raises(InvalidOption,
                            match=r"^--max-p must be >= 1, got 0$"):
             call()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("t", [0, -1, 1, 2, math.nan, math.inf, 1e308,
                                    Fraction(3, 2)])
     @pytest.mark.parametrize("call", [
         lambda t: verify(make_lens_space(2, 1), 3, tolerance=t),
-        lambda t: sweep_verify(2, [3], tolerance=t),
+        lambda t: sweep_verify(2, [3, 5], tolerance=t, jobs=2),
         lambda t: bracket_sign_study(2, (3,), tolerance=t)],
         ids=["verify", "sweep_verify", "bracket_sign_study"])
     def test_tolerance_outside_unit_interval(self, call, t):
         message = f"--tolerance must be positive and below 1, got {float(t):g}"
         with pytest.raises(InvalidOption, match=f"^{re.escape(message)}$"):
             call(t)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("max_p, t", [(0, 1e-8), (5, math.nan),
                                           (5, 2.0)])
@@ -622,15 +625,23 @@ class TestSweepMemo:
             direct = so3_invariant(continued_fraction(rec.p, rec.q), rec.r)
             assert rec.oracle_value == direct, (rec.p, rec.q, rec.r)
 
-    def test_per_case_json_identical_across_jobs(self, capsys):
-        outputs = []
-        for jobs in ("1", "2"):
-            assert cli.main(["verify", "--max-p", "30",
-                             "--r", "3,5,7,9,11,13,15", "--per-case",
-                             "--format", "json", "--jobs", jobs]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert len(json.loads(outputs[0])["cases"]) == 1946
+    def test_per_case_json_identical_across_jobs(self, capsys, monkeypatch):
+        # two CPUs whatever the host has, so --jobs 2 really forks
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        for argv, cases in [
+                (["--max-p", "30", "--r", "3,5,7,9,11,13,15"], 1946),
+                # the study tallies the sweep's own records
+                (["--max-p", "30", "--r", "3,5,7,9,11,13,15",
+                  "--sign-study"], 1946),
+                # Case Two at larger c (c up to 45)
+                (["--max-p", "40", "--r", "21,25,27,33,45"], 2450)]:
+            outputs = []
+            for jobs in ("1", "2"):
+                assert cli.main(["verify", *argv, "--per-case",
+                                 "--format", "json", "--jobs", jobs]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], argv
+            assert len(json.loads(outputs[0])["cases"]) == cases
 
     def test_long_chain_is_not_recursive(self):
         # L(p, p - 1) is a chain of p - 1 twos.  The walk takes a = 2
@@ -814,7 +825,8 @@ class TestBracketSignStudy:
     @pytest.mark.parametrize("r_values, error, message", [
         ((5, 5), InvalidOption, "order 5 is listed more than once"),
         ((5, 5001), OrderOutOfRange, "order 5001 exceeds MAX_ORDER = 5000"),
-        ((4,), EvenOrder, "r must be odd and > 1, got 4")])
+        ((4,), EvenOrder, "r must be odd and > 1, got 4"),
+        ((), InvalidOption, "empty r list")])
     def test_orders_refused_before_any_walk(self, monkeypatch, r_values,
                                             error, message):
         # the sweep's order rule, so a listed order is neither counted
