@@ -29,7 +29,12 @@ from .cyclotomic import Cyclotomic, gauss_sum
 from .errors import InvalidOption
 from .number_theory import dedekind_sum, jacobi_symbol
 
-EMBED_TOL = 1e-12  # double-precision embedding error bound at desk scale
+# |numeric - value| <= EMBED_TOL * max(1, m) for m = sum_i |a_i| >= |value|
+# over the terms a_i * z^i: each power of z is within 2e-15, and a float sum
+# of n <= 5000 = MAX_ORDER terms errs by at most sqrt(2)*n*2^-53*m < 8e-13*m.
+# EMBED_TOL * max(1, |value|) is no bound: xi_4999(L(2,1)) = 0.5, m = 2499,
+# is off by 1.7e-12.
+EMBED_TOL = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,10 +104,11 @@ def _exact_fields(value: Cyclotomic) -> dict:
     The value goes into the record as it is; ``_emit`` renders it from
     its numerators, and plain text never reads it from the record.
     """
+    mass = sum(map(abs, value.nums)) / value.den
     return {
         "value": value,
         "numeric": _complex_dict(value.to_complex()),
-        "numeric_tolerance": EMBED_TOL,
+        "numeric_tolerance": EMBED_TOL * max(1.0, mass),
     }
 
 
@@ -131,7 +137,8 @@ def cmd_tau_prime(args) -> int:
     _emit(record, args.format, lambda: [
         f"tau'_{args.r}(L({L.p},{L.q}))  [branch {result.branch_label()}, c = {result.c}]",
         f"  exact: {_plain_cyclotomic(result.value)}",
-        f"  numeric: {_plain_complex(record['numeric'])}  (+- {EMBED_TOL:g})",
+        f"  numeric: {_plain_complex(record['numeric'])}  "
+        f"(+- {record['numeric_tolerance']:g})",
     ])
     return 0
 
@@ -143,7 +150,8 @@ def cmd_xi(args) -> int:
     _emit(record, args.format, lambda: [
         f"xi_{args.r}(L({L.p},{L.q}), e_{args.r})",
         f"  exact: {_plain_cyclotomic(value)}",
-        f"  numeric: {_plain_complex(record['numeric'])}  (+- {EMBED_TOL:g})",
+        f"  numeric: {_plain_complex(record['numeric'])}  "
+        f"(+- {record['numeric_tolerance']:g})",
     ])
     return 0
 
@@ -219,18 +227,17 @@ def cmd_oracle(args) -> int:
 
 _CONVENTION_NOTE = (
     "oracle: S_jk ~ sin(pi*j*k/r), twists exp(i*pi*(n^2-1)/(2r)), "
-    "anomaly = Gauss-sum phase; bracket signs (-1,-1) [oracle-calibrated]"
-)
+    "anomaly = Gauss-sum phase; bracket signs ({},{}) [oracle-calibrated]"
+).format(*li.BRACKET_CALIBRATED)
 
 
 def cmd_verify(args) -> int:
     from . import rt_oracle as rt
-    rt._check_bounds(args.tolerance, args.max_p)  # the library's rule first
-    if args.jobs < 0:
-        raise InvalidOption(f"--jobs must be >= 0, got {args.jobs}")
+    # the library's rule first
+    rt._check_bounds(args.tolerance, args.max_p, args.jobs)
     r_values = _parse_r_list(args.r)
-    jobs = args.jobs or rt.usable_cpus()
-    records = rt.sweep_verify(args.max_p, r_values, args.tolerance, jobs=jobs)
+    records = rt.sweep_verify(args.max_p, r_values, args.tolerance,
+                              jobs=args.jobs)
     summary = rt.summarize(records)
     record = {
         "max_p": args.max_p,

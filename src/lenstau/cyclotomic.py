@@ -478,7 +478,7 @@ class Cyclotomic:
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
                 z = "z" if i == 1 else f"z^{i}"
-                sign = "-" if c < 0 else ("+" if terms else "")
+                sign = "-" if c < 0 else "+"
                 terms.append(f"{sign} {mag}{z}" if terms else f"{'-' if c < 0 else ''}{mag}{z}")
         body = " ".join(terms) if terms else "0"
         return body

@@ -40,10 +40,11 @@ reproduce ``tau_prime`` exactly, which is the main internal consistency
 check of the package.
 
 Sign convention for the Case 2 bracket: the closed formulas circulate
-with inconsistent signs on the bracket exponents.  The default reading
-``BRACKET_CALIBRATED`` is the one validated against the independent
-numeric oracle (see rt_oracle.bracket_sign_study); the other readings
-are kept so the harness can demonstrate that they fail.
+with inconsistent signs on the bracket exponents.  ``BRACKET_CALIBRATED``
+is the reading validated against the independent numeric oracle (see
+rt_oracle.bracket_sign_study), and every function here uses it.  Only
+``tau_prime`` takes another reading, or a shifted Bezout pair, so the
+harness can run the other readings through it and show that they fail.
 """
 
 from __future__ import annotations
@@ -176,16 +177,14 @@ def _bracket_exponent(L: LensSpace, r: int, eta: int,
     return (s12 * _twelve_s_times_p(L) + srest * (e_pc + e_rc)) % (p * r)
 
 
-def case_two_bracket(L: LensSpace, r: int, eta: int,
-                     bracket_signs: tuple[int, int] = BRACKET_CALIBRATED,
-                     bezout_shift: int = 0) -> Cyclotomic:
+def case_two_bracket(L: LensSpace, r: int, eta: int) -> Cyclotomic:
     """The Case 2 bracket as an explicit element of Q(zeta_{p*r}).
 
     Built as a root of unity of order p*r so its reduction to Q(zeta_r)
     can be exercised through the cyclotomic machinery.
     """
     return root_of_unity(L.p * r, _bracket_exponent(
-        L, r, eta, bracket_signs, bezout_shift))
+        L, r, eta, BRACKET_CALIBRATED, 0))
 
 
 def _bracket_power_of_zeta_r(L: LensSpace, r: int, eta: int,
@@ -251,7 +250,9 @@ def tau_prime(L: LensSpace, r: int,
               memo: dict | None = None) -> TauPrimeResult:
     """tau'_r(L(p,q)) for odd r > 1, with branch metadata.
 
-    bezout_shift replaces the canonical Bezout pair (u', v') by
+    This is the one public function that takes a Case 2 bracket reading
+    (one of BRACKET_VARIANTS; the sign study compares them) or a Bezout
+    shift.  bezout_shift replaces the canonical Bezout pair (u', v') by
     (u' + k*(r/c), v' - k*(p/c)); the value must not depend on it.
 
     memo, when given, is a dict the caller owns: the O(r) construction
@@ -281,9 +282,7 @@ def tau_prime(L: LensSpace, r: int,
     return TauPrimeResult(value, r, c, CASE_TWO, eta)
 
 
-def xi_r(L: LensSpace, r: int,
-         bracket_signs: tuple[int, int] = BRACKET_CALIBRATED,
-         bezout_shift: int = 0) -> Cyclotomic:
+def xi_r(L: LensSpace, r: int) -> Cyclotomic:
     """xi_r(L(p,q), e_r): the invariant at the untwisted root of unity.
 
     Fractional powers of e_r are realized exactly as integer powers of
@@ -305,20 +304,16 @@ def xi_r(L: LensSpace, r: int,
     eta = _branch_eta(L, c)
     if eta is None:
         return Cyclotomic.zero(r)
-    k = _bracket_power_of_zeta_r(L, r, eta, bracket_signs, bezout_shift)
+    k = _bracket_power_of_zeta_r(L, r, eta, BRACKET_CALIBRATED, 0)
     sign = (-1) ** (((r - 1) // 2) * ((c - 1) // 2))
     jac = jacobi_symbol(p // c, r // c) * jacobi_symbol(q, c)
     return _gauss_quotient(r, c, sign * jac * eta, k, 2)
 
 
-def tau_prime_via_galois(L: LensSpace, r: int,
-                         bracket_signs: tuple[int, int] = BRACKET_CALIBRATED,
-                         bezout_shift: int = 0) -> Cyclotomic:
+def tau_prime_via_galois(L: LensSpace, r: int) -> Cyclotomic:
     """tau'_r via the Galois route: xi_r followed by z -> z^((1 -+ r)/4).
 
-    Must agree exactly with tau_prime(...).value; this equality exercises
+    Must agree exactly with tau_prime(L, r).value; this equality exercises
     every exponent identity behind the closed formula.
     """
-    _check_order(r)
-    value = xi_r(L, r, bracket_signs, bezout_shift)
-    return value.galois_apply(_galois_exponent(r) % r)
+    return xi_r(L, r).galois_apply(_galois_exponent(r))

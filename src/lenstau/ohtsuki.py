@@ -124,9 +124,6 @@ class FormalSeries:
             total = total * h + float(c)
         return total
 
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
-
 
 def _check_terms(n_terms: int) -> None:
     """Refuse n_terms outside 1..MAX_TERMS before any O(n_terms) work."""

@@ -61,8 +61,8 @@ import numpy as np
 from .cyclotomic import _check_order as _check_field_order
 from .errors import (EmptyChain, IntegralityFailure, InvalidOption,
                      OrderOutOfRange, WorkerDied)
-from .lens_invariants import (BRACKET_CALIBRATED, BRACKET_VARIANTS, CASE_TWO,
-                              LensSpace, _check_order, make_lens_space,
+from .lens_invariants import (BRACKET_VARIANTS, CASE_TWO, LensSpace,
+                              TauPrimeResult, _check_order, make_lens_space,
                               tau_prime)
 from .number_theory import _check_lens_pair
 
@@ -215,20 +215,22 @@ class VerifyRecord(NamedTuple):
         return fields
 
 
-def _check_bounds(tolerance: float, max_p: int = 1) -> None:
-    """The verify family's value rule, in the CLI's words: max_p >= 1 and
-    0 < tolerance < 1, since a bound of 1 or more matches every case."""
+def _check_bounds(tolerance: float, max_p: int = 1, jobs: int = 1) -> None:
+    """The verify family's value rule, in the CLI's words: max_p >= 1,
+    0 < tolerance < 1, since a bound of 1 or more matches every case, and
+    jobs >= 0, where 0 means every usable CPU."""
     if max_p < 1:
         raise InvalidOption(f"--max-p must be >= 1, got {max_p}")
     if not 0 < tolerance < 1:
         raise InvalidOption("--tolerance must be positive and below 1, "
                             f"got {float(tolerance):g}")
+    if jobs < 0:
+        raise InvalidOption(f"--jobs must be >= 0, got {jobs}")
 
 
-def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
-           bracket_signs: tuple[int, int] = BRACKET_CALIBRATED
-           ) -> VerifyRecord:
-    """Compare the closed formula against the numeric oracle.
+def verify(L: LensSpace, r: int, tolerance: float = 1e-8) -> VerifyRecord:
+    """Compare tau_prime(L, r), at the calibrated reading, against the
+    numeric oracle.
 
     Both the value and its complex conjugate are tested (the two
     orientation conventions); a mismatch is reported as data, not
@@ -240,19 +242,15 @@ def verify(L: LensSpace, r: int, tolerance: float = 1e-8,
     """
     _check_bounds(tolerance)
     oracle = so3_invariant(continued_fraction(L.p, L.q), r)
-    return _compare(L, r, oracle, tolerance, bracket_signs)
+    return _compare(L, tau_prime(L, r), oracle, tolerance)
 
 
-def _compare(L: LensSpace, r: int, oracle: complex, tolerance: float,
-             bracket_signs: tuple[int, int], memo: dict | None = None
-             ) -> VerifyRecord:
-    """verify's record for the oracle value of L at order r.
-
-    memo is tau_prime's, a dict for this r only: cases that share it
-    share each closed-form value, and with it the embedding that the
-    value stores on first use.  The record is the same without it.
-    """
-    result = tau_prime(L, r, bracket_signs, memo=memo)
+def _compare(L: LensSpace, result: TauPrimeResult, oracle: complex,
+             tolerance: float) -> VerifyRecord:
+    """verify's record for result, a tau_prime result for L, against the
+    oracle value of L at result.r.  It only compares: the caller checks
+    the tolerance and builds the result with its own reading and memo,
+    so an IntegralityFailure is raised there."""
     formula = result.value.to_complex()
     direct = abs(formula - oracle)
     conj = abs(formula.conjugate() - oracle)
@@ -263,7 +261,7 @@ def _compare(L: LensSpace, r: int, oracle: complex, tolerance: float,
         match, err = "conjugate", conj
     else:
         match, err = "none", min(direct, conj)
-    return VerifyRecord(L.p, L.q, r, result.branch_label(), match, err,
+    return VerifyRecord(L.p, L.q, result.r, result.branch_label(), match, err,
                         formula, oracle, tolerance, bound)
 
 
@@ -324,8 +322,8 @@ def _verify_order(r: int, max_p: int, tolerance: float
     the call.
     """
     memo = {}
-    return [_compare(make_lens_space(p, q), r, oracle, tolerance,
-                     BRACKET_CALIBRATED, memo)
+    return [_compare(L := make_lens_space(p, q), tau_prime(L, r, memo=memo),
+                     oracle, tolerance)
             for p, q, oracle in _chain_walk(r, max_p)]
 
 
@@ -414,22 +412,23 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
                  jobs: int = 1) -> list[VerifyRecord]:
     """Run verify over every coprime (p, q), p <= max_p, for each r.
 
-    max_p >= 1 and the tolerance (as in verify), and every order
-    (_check_orders), are checked before any work starts.  One order is
+    max_p >= 1, the tolerance (as in verify), jobs >= 0 and every order
+    (_check_orders) are checked before any work starts.  One order is
     one unit of work (_verify_order): one depth-first walk of its chain
     tree, one contraction step per case.  The sweep runs in
     min(jobs, usable_cpus(), len(r_values)) processes, the caller
-    included.  The orders are dealt largest (costliest) first, round
-    robin, into that many shares.  The caller runs share 0 itself, and
-    a _Worker process runs each other share and sends back its records
-    as plain rows in one message; an exception in a worker is re-raised
-    here.  A one-order sweep starts no process, and none is left
-    running when the call returns or raises.  Results are sorted by
-    (p, q, r) regardless of scheduling.
+    included, and jobs = 0 means usable_cpus().  The orders are dealt
+    largest (costliest) first, round robin, into that many shares.  The
+    caller runs share 0 itself, and a _Worker process runs each other
+    share and sends back its records as plain rows in one message; an
+    exception in a worker is re-raised here.  A one-order sweep starts
+    no process, and none is left running when the call returns or
+    raises.  Results are sorted by (p, q, r) regardless of scheduling.
     """
-    _check_bounds(tolerance, max_p)
+    _check_bounds(tolerance, max_p, jobs)
     _check_orders(r_values)
-    procs = max(1, min(jobs, usable_cpus(), len(r_values)))
+    cpus = usable_cpus()
+    procs = min(jobs or cpus, cpus, len(r_values))
     largest_first = sorted(r_values, reverse=True)
     shares = [largest_first[i::procs] for i in range(procs)]
     workers = []
@@ -487,10 +486,11 @@ def _sign_tally(records: list[VerifyRecord], tolerance: float) -> dict:
                                 "matched_direct": 0, "mismatched": 0}
         for L, r, oracle in cases:
             try:
-                match = _compare(L, r, oracle, tolerance, signs).match
+                result = tau_prime(L, r, signs)
             except IntegralityFailure:
                 stats["integrality_failures"] += 1
             else:
+                match = _compare(L, result, oracle, tolerance).match
                 stats["matched_direct" if match == "direct"
                       else "mismatched"] += 1
     return study

@@ -59,7 +59,7 @@ class TestTauPrime:
             "tau'_5(L(5,1))  [branch CaseTwo(-1), c = 5]\n"
             "  exact: -z + z^3  (z = exp(2*pi*i/5))\n"
             "  numeric: -1.1180339887498949 + -1.5388417685876266i"
-            "  (+- 1e-12)\n")
+            "  (+- 2e-12)\n")
 
     def test_even_r_rejected(self, capsys):
         code, _, err = run(capsys, "tau-prime", "--p", "2", "--q", "1", "--r", "4")
@@ -69,6 +69,34 @@ class TestTauPrime:
     def test_non_coprime_rejected(self, capsys):
         code, _, err = run(capsys, "tau-prime", "--p", "4", "--q", "2", "--r", "5")
         assert code == 1
+
+
+class TestNumericTolerance:
+    @pytest.mark.parametrize("argv", [
+        ["tau-prime", "--p", "4999", "--q", "1", "--r", "4999"],
+        ["tau-prime", "--p", "4995", "--q", "1", "--r", "4995"],
+        ["xi", "--p", "4999", "--q", "1", "--r", "4999"],
+        ["gauss", "--c", "4999"],
+        ["tau-prime", "--p", "252", "--q", "181", "--r", "891"],
+        # 0.5 as a sum of 2499 roots of unity: its embedding is off by
+        # 1.7e-12, more than 1e-12 * max(1, |value|)
+        ["xi", "--p", "2", "--q", "1", "--r", "4999"]],
+        ids=lambda argv: "-".join(argv[:1] + argv[2::2]))
+    def test_bound_holds_against_mpmath(self, capsys, argv):
+        # the exact value summed in 40 digits from the printed coefficients
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        n = record["value"]["order"]
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(
+                mpmath.mpf(num) / den * mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                for k, (num, den) in enumerate(record["value"]["coeffs"])
+                if num)
+            numeric = mpmath.mpc(record["numeric"]["re"],
+                                 record["numeric"]["im"])
+            assert abs(numeric - exact) <= record["numeric_tolerance"]
 
 
 class TestXi:

@@ -23,9 +23,9 @@ from lenstau import rt_oracle  # noqa: E402
 from lenstau.cyclotomic import (Cyclotomic, _reduce, degree,  # noqa: E402
                                 root_of_unity)
 from lenstau.errors import NotInSubfield  # noqa: E402
-from lenstau.lens_invariants import (BRACKET_CALIBRATED,  # noqa: E402
-                                     _twelve_s_times_p, make_lens_space,
-                                     tau_prime, tau_prime_via_galois, xi_r)
+from lenstau.lens_invariants import (_twelve_s_times_p,  # noqa: E402
+                                     make_lens_space, tau_prime,
+                                     tau_prime_via_galois, xi_r)
 from lenstau.ohtsuki import (_from_coprime,  # noqa: E402
                              _over_falling_denominators, ohtsuki_tau)
 from lenstau.rt_oracle import (continued_fraction,  # noqa: E402
@@ -303,8 +303,8 @@ def test_memoised_verify_equals_direct(L, other, r):
 
     def shared(M):
         oracle = so3_invariant(continued_fraction(M.p, M.q), r)
-        return rt_oracle._compare(M, r, oracle, 1e-8, BRACKET_CALIBRATED,
-                                  memo)
+        return rt_oracle._compare(M, tau_prime(M, r, memo=memo), oracle,
+                                  1e-8)
 
     shared(other)
     # L(p, q*) is the same manifold: its closed-form value has the same

@@ -16,7 +16,8 @@ from lenstau import cli, cyclotomic, lens_invariants, rt_oracle
 from lenstau.errors import (EmptyChain, EvenOrder, IntegralityFailure,
                             InvalidOption, NonPositiveP, NotCoprime, OrderOne,
                             OrderOutOfRange, WorkerDied)
-from lenstau.lens_invariants import BRACKET_CALIBRATED, make_lens_space
+from lenstau.lens_invariants import (BRACKET_CALIBRATED, make_lens_space,
+                                     tau_prime)
 from lenstau.rt_oracle import (bracket_sign_study, cf_value,
                                continued_fraction, lens_space_range,
                                linking_matrix, modular_data, rt_invariant,
@@ -407,9 +408,11 @@ class TestVerify:
             for q in range(0 if p == 1 else 1, max(p, 1)):
                 if math.gcd(p, q) != 1:
                     continue
+                L = make_lens_space(p, q)
                 for r in (5, 7):
-                    records.append(verify(make_lens_space(p, q), r,
-                                          bracket_signs=(1, 1)))
+                    oracle = so3_invariant(continued_fraction(p, q), r)
+                    records.append(rt_oracle._compare(
+                        L, tau_prime(L, r, (1, 1)), oracle, 1e-8))
         assert any(rec.match == "none" for rec in records)
 
     def test_record_dict_schema(self):
@@ -465,6 +468,10 @@ class TestVerify:
         monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 3)
         assert cli.main(["verify", "--max-p", "3", "--r", "3,5,7,9"]) == 0
         assert in_process_workers.shares == [[7], [5]]
+        # the CLI passes its default on: the library's 0 is the same
+        in_process_workers.shares.clear()
+        sweep_verify(3, [3, 5, 7, 9], jobs=0)
+        assert in_process_workers.shares == [[7], [5]]
 
     def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -505,8 +512,8 @@ class TestVerify:
         assert rec.abs_error <= rec.bound
         for shift, match in ((rec.bound / 2, "direct"),
                              (2 * rec.bound, "none")):
-            displaced = rt_oracle._compare(L, 891, rec.formula_value + shift,
-                                           1e-8, BRACKET_CALIBRATED)
+            displaced = rt_oracle._compare(L, tau_prime(L, 891),
+                                           rec.formula_value + shift, 1e-8)
             assert displaced.match == match
             assert displaced.abs_error > displaced.tolerance
 
@@ -525,7 +532,7 @@ class TestVerify:
 
 
 class TestVerifyBounds:
-    """The library refuses the max_p and tolerance values the CLI
+    """The library refuses the max_p, tolerance and jobs values the CLI
     refuses, with the CLI's text, before any work starts."""
 
     @pytest.mark.parametrize("call", [
@@ -561,6 +568,16 @@ class TestVerifyBounds:
             sweep_verify(max_p, [3, 5], tolerance=t, jobs=2)
         assert run == []
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [-1, -64])
+    def test_negative_jobs_refused_before_any_work(
+            self, monkeypatch, in_process_workers, jobs):
+        monkeypatch.setattr(rt_oracle, "usable_cpus", lambda: 2)
+        run = recording_orders(monkeypatch)
+        with pytest.raises(InvalidOption,
+                           match=f"^--jobs must be >= 0, got {jobs}$"):
+            sweep_verify(3, [3, 5], jobs=jobs)
+        assert run == [] and in_process_workers.shares == []
 
 
 def reference_dict(rec):
@@ -866,7 +883,8 @@ class TestBracketSignStudy:
         }
 
     def test_matches_per_case_verify(self):
-        # the tallies of one verify call per CaseTwo case and reading
+        # the tallies of one tau_prime and oracle comparison per CaseTwo
+        # case and reading
         max_p, r_values = 10, (21, 25, 27, 33, 45, 101)
         cases = [(make_lens_space(p, q), r)
                  for p, q in lens_space_range(max_p) for r in r_values]
@@ -880,10 +898,12 @@ class TestBracketSignStudy:
                 "matched_direct": 0, "mismatched": 0}
             for L, r in cases:
                 try:
-                    rec = verify(L, r, bracket_signs=signs)
+                    result = tau_prime(L, r, signs)
                 except IntegralityFailure:
                     stats["integrality_failures"] += 1
                     continue
+                oracle = so3_invariant(continued_fraction(L.p, L.q), r)
+                rec = rt_oracle._compare(L, result, oracle, 1e-8)
                 stats["matched_direct" if rec.match == "direct"
                       else "mismatched"] += 1
         assert expected[BRACKET_CALIBRATED]["case_two_instances"] > 0
