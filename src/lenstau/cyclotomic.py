@@ -6,7 +6,8 @@ reduced modulo the N-th cyclotomic polynomial Phi_N, over one positive
 common denominator; gcd(den, numerators) = 1 and zero has den 1.
 Phi_N is monic with integer coefficients, so reduction never leaves the
 integers.  Equality is therefore coefficient-wise; values of different
-orders interoperate by lifting both to Q(zeta_lcm).  ``coeffs`` is a
+orders interoperate by lifting both to Q(zeta_lcm), and are compared in
+Q(zeta_gcd) where that lcm exceeds MAX_ORDER.  ``coeffs`` is a
 read-only view of the same vector as ``Fraction``s.
 
 For N > 1, Phi_N = prod (1 - x^d)^mu(N/d) over the d | N with N/d
@@ -453,10 +454,23 @@ class Cyclotomic:
     # -- comparison and display ------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equality of values, compared in Q(zeta_lcm) of the orders a
+        and b.  Where that lcm exceeds MAX_ORDER they are compared in the
+        intersection of Q(zeta_a) and Q(zeta_b), which is
+        Q(zeta_gcd(a, b)): equal values both descend there and agree,
+        and a value that does not descend equals none of the other
+        field's."""
         other = self._promote(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(self, other)
+        if math.lcm(self.order, other.order) <= MAX_ORDER:
+            a, b = self._common(self, other)
+        else:
+            d = math.gcd(self.order, other.order)
+            try:
+                a, b = self.descend(d), other.descend(d)
+            except NotInSubfield:
+                return False
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self) -> int:

@@ -50,7 +50,7 @@ harness can run the other readings through it and show that they fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, gauss_sum, root_of_unity
 from .cyclotomic import _check_order as _check_field_order
@@ -67,18 +67,19 @@ BRACKET_CALIBRATED = (-1, -1)
 BRACKET_VARIANTS = ((-1, -1), (1, 1), (-1, 1), (1, -1))
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    """L(p, q) with its Bezout data: p*.p + q*.q = 1, 0 < q* < p."""
+class LensSpace(NamedTuple):
+    """L(p, q) with its Bezout data, p*.p + q*.q = 1 with 0 < q* < p, and
+    the Dedekind integer m = 12*s(q,p)*p, which every formula here reads
+    (the denominator of 12*s(q,p) divides p)."""
 
     p: int
     q: int
     q_star: int
     p_star: int
+    m: int
 
 
-@dataclass(frozen=True)
-class TauPrimeResult:
+class TauPrimeResult(NamedTuple):
     value: Cyclotomic
     r: int
     c: int
@@ -92,12 +93,18 @@ class TauPrimeResult:
 
 
 def make_lens_space(p: int, q: int) -> LensSpace:
-    """Normalize (p, q) and attach the Bezout pair (q*, p*)."""
+    """Normalize (p, q) and attach the Bezout pair (q*, p*) and
+    m = 12*s(q,p)*p; IntegralityFailure if m is not an integer."""
     _check_lens_pair(p, q)
     q %= p
     q_star = mod_inverse(q, p)
     p_star = (1 - q_star * q) // p
-    return LensSpace(p, q, q_star, p_star)
+    num, den = _twelve_dedekind(q, p)
+    m, rem = divmod(num * p, den)
+    if rem:
+        raise IntegralityFailure(
+            f"12*s({q},{p})*{p} is not an integer: {num * p}/{den}")
+    return LensSpace(p, q, q_star, p_star, m)
 
 
 def _check_order(r: int) -> None:
@@ -114,24 +121,13 @@ def _check_order(r: int) -> None:
     _check_field_order(r)
 
 
-def _twelve_s_times_p(L: LensSpace) -> int:
-    """The integer 12*s(q,p)*p (the denominator of 12*s divides p)."""
-    num, den = _twelve_dedekind(L.q, L.p)
-    m, rem = divmod(num * L.p, den)
-    if rem:
-        raise IntegralityFailure(
-            f"12*s({L.q},{L.p})*{L.p} is not an integer: "
-            f"{num * L.p}/{den}")
-    return m
-
-
 def three_s_sqrt(L: LensSpace, r: int) -> int:
     """The residue of the rational 3*s(q,p) modulo r, in [0, r).
 
     3*s(q,p) = m/(4p) with m = 12*s(q,p)*p integral, so the residue is
     m*(4p)' mod r; NotCoprime unless gcd(4p, r) = 1.
     """
-    return _twelve_s_times_p(L) * mod_inverse(4 * L.p, r) % r
+    return L.m * mod_inverse(4 * L.p, r) % r
 
 
 def _branch_eta(L: LensSpace, c: int) -> int | None:
@@ -174,7 +170,7 @@ def _bracket_exponent(L: LensSpace, r: int, eta: int,
     v1 -= bezout_shift * u
     e_pc = v * (-v1 * (q + q_star - eta * p_star * p))
     e_rc = u * (2 * eta * u1)
-    return (s12 * _twelve_s_times_p(L) + srest * (e_pc + e_rc)) % (p * r)
+    return (s12 * L.m + srest * (e_pc + e_rc)) % (p * r)
 
 
 def case_two_bracket(L: LensSpace, r: int, eta: int) -> Cyclotomic:
@@ -233,7 +229,7 @@ def _gauss_quotient(r: int, c: int, scale: int, phase: int,
     return Cyclotomic(r, nums, r)
 
 
-def _build(memo: dict | None, builder, *args) -> Cyclotomic:
+def _build(memo: dict | None, builder, *args):
     """builder(*args), or the value memo holds for these arguments."""
     if memo is None:
         return builder(*args)
@@ -242,6 +238,15 @@ def _build(memo: dict | None, builder, *args) -> Cyclotomic:
     if value is None:
         value = memo[key] = builder(*args)
     return value
+
+
+def _residues(r: int, p: int) -> tuple[int, ...]:
+    """What tau_prime needs of (r, p) alone: (c,) for c = gcd(p, r) > 1,
+    and (1, (p|r), (4p)' mod r, p' mod r) for c = 1."""
+    c = math.gcd(p, r)
+    if c > 1:
+        return (c,)
+    return c, jacobi_symbol(p, r), pow(4 * p, -1, r), pow(p, -1, r)
 
 
 def tau_prime(L: LensSpace, r: int,
@@ -255,30 +260,35 @@ def tau_prime(L: LensSpace, r: int,
     shift.  bezout_shift replaces the canonical Bezout pair (u', v') by
     (u' + k*(r/c), v' - k*(p/c)); the value must not depend on it.
 
-    memo, when given, is a dict the caller owns: the O(r) construction
-    of the value is looked up there by its full argument tuple and
-    stored on a miss, so cases with equal arguments share one value.
-    Branch, c, eta, the bracket exponent and every integrality check
-    are still computed for each call.
+    memo, when given, is a dict the caller owns.  Two things are looked
+    up there by their full argument tuples, r included, and stored on a
+    miss: the residues of (r, p) (c, and for Case One (p|r), (4p)' and
+    p' mod r), so cases of one order and one p share them; and the
+    O(r) construction of the value, the zero included, so cases with
+    equal arguments share one value.  One memo may serve several
+    orders.  The branch, eta, the bracket exponent and every
+    integrality check are still computed for each call.
     """
     _check_order(r)
-    p, q = L.p, L.q
-    c = math.gcd(p, r)
+    p = L.p
+    residues = _build(memo, _residues, r, p)
+    c = residues[0]
     if c == 1:
+        _, jac, inv_4p, inv_p = residues
+        # phase -3*s(q,p) = -m/(4p), x = 2' and k = p' mod r
         return TauPrimeResult(
-            _build(memo, _quantum_ratio, r, jacobi_symbol(p, r),
-                   -three_s_sqrt(L, r), mod_inverse(2, r),
-                   mod_inverse(p, r)),
+            _build(memo, _quantum_ratio, r, jac, -(L.m * inv_4p % r),
+                   (r + 1) // 2, inv_p),
             r, 1, CASE_ONE)
     eta = _branch_eta(L, c)
     if eta is None:
-        return TauPrimeResult(Cyclotomic.zero(r), r, c, ZERO)
+        return TauPrimeResult(_build(memo, Cyclotomic.zero, r), r, c, ZERO)
     w = _galois_exponent(r)
     k = _bracket_power_of_zeta_r(L, r, eta, bracket_signs, bezout_shift)
     sign = (-1) ** (((r - 1) // 2) * ((c - 1) // 2))
-    jac = (jacobi_symbol(p // c, r // c) * jacobi_symbol(q * w, c))
+    jac = (jacobi_symbol(p // c, r // c) * jacobi_symbol(L.q * w, c))
     value = _build(memo, _gauss_quotient, r, c, sign * jac * eta, k * w,
-                   mod_inverse(2, r))
+                   (r + 1) // 2)
     return TauPrimeResult(value, r, c, CASE_TWO, eta)
 
 
@@ -295,7 +305,7 @@ def xi_r(L: LensSpace, r: int) -> Cyclotomic:
     if c == 1:
         # scalar e_r^(-12s) * e_p^(r'(q+q*)) = zeta_{pr}^E1 = zeta_r^(E1/p)
         r_inv = mod_inverse(r, p)
-        e1 = -_twelve_s_times_p(L) + r * r_inv * (q + q_star)
+        e1 = -L.m + r * r_inv * (q + q_star)
         if e1 % p != 0:
             raise IntegralityFailure(
                 f"Case 1 scalar is not a power of zeta_{r}")

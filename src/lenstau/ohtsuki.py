@@ -33,12 +33,12 @@ coprime, so the Fraction is built without a second gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NotDivisible, NotInvertible, TermsOutOfRange
-from .lens_invariants import LensSpace, _twelve_s_times_p
+from .lens_invariants import LensSpace
 
 # Largest supported truncation.  The cost grows about as n_terms^3: the
 # coefficients have O(n_terms) digits, and each is reduced by a gcd
@@ -50,8 +50,7 @@ from .lens_invariants import LensSpace, _twelve_s_times_p
 MAX_TERMS = 1000
 
 
-@dataclass(frozen=True)
-class FormalSeries:
+class FormalSeries(NamedTuple):
     """Truncated power series in h with exact rational coefficients."""
 
     coeffs: tuple[Fraction, ...]
@@ -203,9 +202,8 @@ def ohtsuki_tau(L: LensSpace, n_terms: int = 16) -> FormalSeries:
     and q -> q* (each pair presents the same oriented lens space).
     """
     _check_terms(n_terms)
-    m = _twelve_s_times_p(L)
-    b = 4 * L.p
-    up = _falling_products(2 * L.p - m + 2, b, n_terms + 1)
-    down = _falling_products(2 * L.p - m - 2, b, n_terms + 1)
+    a, b = 2 * L.p - L.m, 4 * L.p
+    up = _falling_products(a + 2, b, n_terms + 1)
+    down = _falling_products(a - 2, b, n_terms + 1)
     return FormalSeries(tuple(_over_falling_denominators(
         (x - y for x, y in zip(up[1:], down[1:])), b)))

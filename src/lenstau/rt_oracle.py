@@ -29,10 +29,13 @@ Cost of a sweep: prepending a to the chain of p0/q0 gives the chain of
 S^3 = L(1, 0), and every case is one contraction step from its parent.
 `_chain_walk` visits that tree depth first: one S times vector per
 parent, shared by all its children, and each T^a from one table.  One
-order is one unit of `sweep_verify` work: its cases share one memo
-dict, so the closed formula builds each distinct value once, and the
-value stores its embedding the first time a case asks for it.  Nothing
-is cached across calls except the modular data of the last two orders.
+order is one unit of `sweep_verify` work, and a share of orders builds
+each lens space of the range once, Dedekind integer included, for all
+its orders.  The cases of an order share one memo dict, so the closed
+formula computes the residues of each (r, p) once and builds each
+distinct value once, and the value stores its embedding the first time
+a case asks for it.  Nothing is cached across calls except the modular
+data of the last two orders.
 `jobs` counts processes, the caller included.  The orders are dealt
 largest first, round robin, into that many shares; the caller runs
 share 0, the largest, itself, and one worker process per other share
@@ -54,6 +57,7 @@ import multiprocessing
 import os
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -252,15 +256,18 @@ def _compare(L: LensSpace, result: TauPrimeResult, oracle: complex,
     the tolerance and builds the result with its own reading and memo,
     so an IntegralityFailure is raised there."""
     formula = result.value.to_complex()
-    direct = abs(formula - oracle)
-    conj = abs(formula.conjugate() - oracle)
     bound = tolerance * max(1.0, abs(formula))
+    direct = abs(formula - oracle)
     if direct <= bound:
         match, err = "direct", direct
-    elif conj <= bound:
-        match, err = "conjugate", conj
     else:
-        match, err = "none", min(direct, conj)
+        # the conjugate distance is needed only when the direct one
+        # misses; a NaN distance passes neither test
+        conj = abs(formula.conjugate() - oracle)
+        if conj <= bound:
+            match, err = "conjugate", conj
+        else:
+            match, err = "none", min(direct, conj)
     return VerifyRecord(L.p, L.q, result.r, result.branch_label(), match, err,
                         formula, oracle, tolerance, bound)
 
@@ -312,19 +319,33 @@ def _chain_walk(r: int, max_p: int):
                 stack.append((p, p0, child, m + 1))
 
 
-def _verify_order(r: int, max_p: int, tolerance: float
+def _verify_order(r: int, max_p: int, tolerance: float,
+                  spaces: dict[tuple[int, int], LensSpace]
                   ) -> list[VerifyRecord]:
     """verify every lens_space_range(max_p) case at order r.
 
-    The oracle values come from _chain_walk, in its order; the closed
-    formula side is verify's, and the cases share one tau_prime memo,
-    so each distinct value is built and embedded once.  Nothing outlives
-    the call.
+    spaces maps each (p, q) of the range to its LensSpace; the caller
+    builds it once for all the orders of a share.  The oracle values
+    come from _chain_walk, in its order; the closed formula side is
+    verify's, and the cases share one tau_prime memo, so the residues of
+    each (r, p) are computed once and each distinct value is built and
+    embedded once.  The memo does not outlive the call.
     """
     memo = {}
-    return [_compare(L := make_lens_space(p, q), tau_prime(L, r, memo=memo),
+    return [_compare(L := spaces[p, q], tau_prime(L, r, memo=memo),
                      oracle, tolerance)
             for p, q, oracle in _chain_walk(r, max_p)]
+
+
+def _share_records(orders: list[int], max_p: int, tolerance: float
+                   ) -> list[VerifyRecord]:
+    """The records of every order in a share, in order.  Each lens space
+    of the range is built once, into a dict that all the share's orders
+    read and that is dropped when the share ends."""
+    spaces = {(p, q): make_lens_space(p, q)
+              for p, q in lens_space_range(max_p)}
+    return [rec for r in orders
+            for rec in _verify_order(r, max_p, tolerance, spaces)]
 
 
 def usable_cpus() -> int:
@@ -357,8 +378,7 @@ def _share_rows(orders: list[int], max_p: int, tolerance: float
     """The records of every order in a worker's share, as plain tuples,
     which pickle in less than half the time the records take;
     VerifyRecord._make rebuilds them."""
-    return [tuple(rec) for r in orders
-            for rec in _verify_order(r, max_p, tolerance)]
+    return list(map(tuple, _share_records(orders, max_p, tolerance)))
 
 
 def _run_share(conn, orders: list[int], max_p: int, tolerance: float
@@ -435,14 +455,13 @@ def sweep_verify(max_p: int, r_values: list[int], tolerance: float = 1e-8,
     try:
         for share in shares[1:]:
             workers.append(_Worker(share, max_p, tolerance))
-        records = [rec for r in shares[0]
-                   for rec in _verify_order(r, max_p, tolerance)]
+        records = _share_records(shares[0], max_p, tolerance)
         for worker in workers:
             records += map(VerifyRecord._make, worker.rows())
     finally:
         for worker in workers:
             worker.stop()
-    return sorted(records, key=lambda rec: (rec.p, rec.q, rec.r))
+    return sorted(records, key=itemgetter(0, 1, 2))
 
 
 def summarize(records: list[VerifyRecord]) -> dict:

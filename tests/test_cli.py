@@ -606,6 +606,15 @@ class TestColdStart:
         """)
         assert json.loads(out) == [0, [False, False], [True, True]]
 
+    def test_import_loads_no_dataclasses(self):
+        out = run_python("""
+            import json, sys
+            import lenstau, lenstau.cli
+            print(json.dumps([m in sys.modules
+                              for m in ("dataclasses", "inspect")]))
+        """)
+        assert json.loads(out) == [False, False]
+
     def test_package_names(self):
         out = run_python(f"""
             import json, sys

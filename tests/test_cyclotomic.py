@@ -219,6 +219,20 @@ class TestFieldOps:
         assert root_of_unity(6, 1) + root_of_unity(3, 2) == 0
         assert root_of_unity(6, 2) == root_of_unity(3, 1)
 
+    def test_equality_past_max_order(self):
+        # lcm(4999, 4997) and lcm(4989, 4971) exceed MAX_ORDER, so the
+        # values are compared in Q(zeta_gcd), Q and Q(zeta_3)
+        a = Cyclotomic.from_rational(1, 4999)
+        b = Cyclotomic.from_rational(1, 4997)
+        assert a == b and hash(a) == hash(b)
+        assert a != Cyclotomic.from_rational(2, 4997)
+        assert root_of_unity(4999, 1) != root_of_unity(4997, 1)
+        assert root_of_unity(4999, 1) != b and a != root_of_unity(4997, 1)
+        third = root_of_unity(4989, 1663)        # 4989 = 3 * 1663
+        same = root_of_unity(4971, 1657)         # 4971 = 3 * 1657
+        assert third == same and hash(third) == hash(same)
+        assert third != root_of_unity(4971, 2 * 1657)
+
     def test_rational_interop(self):
         z = root_of_unity(5, 1)
         assert (1 - z) + z == 1

@@ -105,6 +105,15 @@ class TestTauPrime:
                 count += 1
         assert count == 6370
 
+    def test_memo_serves_several_orders(self):
+        # the (r, p) residues are keyed with r: one memo that alternates
+        # between two orders gives what fresh memos give
+        shared = {}
+        for L in lens_spaces(30):
+            for r in (3, 5):
+                assert tau_prime(L, r, memo=shared) == \
+                    tau_prime(L, r, memo={}), (L.p, L.q, r)
+
     def test_case_two_instance(self):
         L = make_lens_space(3, 1)
         result = tau_prime(L, 3)
@@ -352,7 +361,7 @@ def test_invariant_guards_raise_under_optimize():
 
         assert False, "assertions must be disabled"
         try:
-            _branch_eta(LensSpace(4, 1, 1, 0), 2)
+            _branch_eta(LensSpace(4, 1, 1, 0, 6), 2)
         except IntegralityFailure:
             pass
         else:

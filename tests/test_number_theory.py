@@ -6,7 +6,7 @@ import pytest
 
 from lenstau.errors import (EvenInput, EvenModulus, NonPositiveModulus,
                             NonPositiveP, NotCoprime)
-from lenstau.lens_invariants import _twelve_s_times_p, make_lens_space
+from lenstau.lens_invariants import make_lens_space
 from lenstau.number_theory import (_twelve_dedekind, bezout_pair,
                                    dedekind_sum,
                                    dedekind_sum_direct, epsilon, ext_gcd,
@@ -247,7 +247,7 @@ class TestDedekindSum:
             q = rng.randrange(1, p)
             if math.gcd(p, q) != 1:
                 continue
-            m = _twelve_s_times_p(make_lens_space(p, q))
+            m = make_lens_space(p, q).m
             assert type(m) is int and m == 12 * p * dedekind_sum(q, p)
             assert dedekind_sum(q, p) + dedekind_sum(p, q) == Fraction(
                 -1, 4) + Fraction(p * p + q * q + 1, 12 * p * q)

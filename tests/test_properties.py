@@ -23,9 +23,10 @@ from lenstau import rt_oracle  # noqa: E402
 from lenstau.cyclotomic import (Cyclotomic, _reduce, degree,  # noqa: E402
                                 root_of_unity)
 from lenstau.errors import NotInSubfield  # noqa: E402
-from lenstau.lens_invariants import (_twelve_s_times_p,  # noqa: E402
-                                     make_lens_space, tau_prime,
-                                     tau_prime_via_galois, xi_r)
+from lenstau.lens_invariants import (make_lens_space,  # noqa: E402
+                                     tau_prime, tau_prime_via_galois, xi_r)
+from lenstau.number_theory import (dedekind_sum,  # noqa: E402
+                                   dedekind_sum_direct)
 from lenstau.ohtsuki import (_from_coprime,  # noqa: E402
                              _over_falling_denominators, ohtsuki_tau)
 from lenstau.rt_oracle import (continued_fraction,  # noqa: E402
@@ -43,6 +44,14 @@ def lens_spaces(draw, max_p=200):
 
 
 odd_orders = st.integers(1, 22).map(lambda k: 2 * k + 1)
+
+
+@EXAMPLES
+@given(lens_spaces())
+def test_dedekind_integer(L):
+    assert type(L.m) is int
+    assert L.m == 12 * L.p * dedekind_sum(L.q, L.p)
+    assert L.m == 12 * L.p * dedekind_sum_direct(L.q, L.p)
 
 
 @EXAMPLES
@@ -180,7 +189,7 @@ def test_hash_is_the_mean_of_all_conjugates(case):
 def plain_ohtsuki(L, n_terms):
     """lambda_(k-1) = Fraction(P_up(k) - P_down(k), (4p)^k k!), the plain
     normalizing reduction (reference)."""
-    m = _twelve_s_times_p(L)
+    m = L.m
     b = 4 * L.p
     up = down = 1
     out = []

@@ -53,11 +53,11 @@ def recording_orders(monkeypatch, also=None):
     call also(r) first when given."""
     run, real = [], rt_oracle._verify_order
 
-    def recording(r, max_p, tolerance):
+    def recording(r, max_p, tolerance, spaces):
         run.append(r)
         if also is not None:
             also(r)
-        return real(r, max_p, tolerance)
+        return real(r, max_p, tolerance, spaces)
     monkeypatch.setattr(rt_oracle, "_verify_order", recording)
     return run
 
@@ -517,6 +517,13 @@ class TestVerify:
             assert displaced.match == match
             assert displaced.abs_error > displaced.tolerance
 
+    @pytest.mark.parametrize("oracle", [complex(math.nan, 0.0),
+                                        complex(0.0, math.nan)])
+    def test_nan_oracle_never_matches(self, oracle):
+        L = make_lens_space(7, 2)
+        rec = rt_oracle._compare(L, tau_prime(L, 5), oracle, 1e-8)
+        assert rec.match == "none"
+
     def test_longest_chain_at_large_order(self):
         # L(60,59) is the 59-term chain (2, ..., 2); its error stays far
         # within the bound at r = 4995 only if the oracle reduces its
@@ -693,11 +700,23 @@ class TestSweepMemo:
         assert cli.main(argv) == 0
         shared = capsys.readouterr().out
         monkeypatch.setattr(
-            rt_oracle, "_verify_order", lambda r, max_p, tolerance: [
+            rt_oracle, "_verify_order", lambda r, max_p, tolerance, spaces: [
                 verify(make_lens_space(p, q), r, tolerance)
                 for p, q in lens_space_range(max_p)])
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == shared
+
+    def test_lens_spaces_built_once_per_sweep(self, monkeypatch):
+        built = []
+
+        def counting(p, q, _real=rt_oracle.make_lens_space):
+            built.append((p, q))
+            return _real(p, q)
+        monkeypatch.setattr(rt_oracle, "make_lens_space", counting)
+        records = sweep_verify(30, [3, 5, 7, 9, 11, 13, 15], jobs=1)
+        assert len(records) == 1946
+        assert sorted(built) == sorted(lens_space_range(30))
+        assert len(built) == 278
 
     def test_values_built_once_per_sweep(self, monkeypatch):
         # counting stand-ins for the two O(r) builders of tau_prime
@@ -741,7 +760,8 @@ class TestSweepMemo:
             built.clear()
             embedded.clear()
             sweep_verify(30, [3, 5, 7, 9, 15, 21], jobs=1)
-            # the Zero branch builds a fresh zero per case
+            # the Zero branch's zero comes from Cyclotomic.zero, not
+            # from the two builders
             nonzero = [value for value in embedded if not value.is_zero()]
             counts.append(len(nonzero))
             assert sorted(map(id, nonzero)) == sorted(map(id, built))
